@@ -23,35 +23,21 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .drift import J2, make_constant_drift, make_rotational_drift, make_wedge_drift
-from .errors import (
-    ConfigError,
-    ParameterError,
-    PropagationError,
-    SolverError,
-)
+from .drift import J2, make_constant_drift, make_rotational_drift
+from .errors import ConfigError, ParameterError, PropagationError, SolverError
 from .estimators import (
-    asymptotic_variance_estimate,
-    batch_count_schedule,
-    batch_means,
-    get_observable,
+    asymptotic_variance_estimate, batch_count_schedule, batch_means, get_observable,
 )
 from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
-from .sampler import (
-    SdeConfig,
-    simulate,
-    simulate_cells,
-    save_trajectory,
-    stable_substeps,
-)
+from .sampler import SdeConfig, save_trajectory, simulate, simulate_cells, stable_substeps
 from .spectral import FourierObservable, fourier_sigma2, observable_rate, rate_curvature
 
 RESULT_COLUMNS = (
@@ -60,6 +46,9 @@ RESULT_COLUMNS = (
 ).split(",")
 
 SWEEP_COLUMNS = ["delta", "t", "estimate", "ci_lo", "ci_hi"]
+
+#: The observable of the spectral subcommand: f(x) = cos x on the circle.
+SPECTRAL_OBSERVABLE = FourierObservable.cosine()
 
 #: Reference variance tables for the three benchmark potentials
 #: (delta -> one value per horizon).  Individual cells are single stochastic
@@ -97,12 +86,98 @@ TABLE_SPECS = {
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: one frozen config per subcommand family, whose from_dict
+# checks every name, type, range, dimension, batch count and data file, so
+# an invalid document exits with code 2 before any solve starts.
+
+_REQUIRED = object()
+#: Grid bounds: memory grows with the ratefn node count and, through its
+#: dense N x N operators, with the square of the spectral grid.
+MAX_RATE_GRID_NODES = 2**20
+MAX_SPECTRAL_GRID = 2048
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _convert(value, kind: type, name: str):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:  # finite; comparing avoids float() overflow on big ints
+        ok, what = number and abs(value) <= sys.float_info.max, "a finite number"
+    elif kind is int:  # integral: 2 and 2.0 pass, 2.5 does not
+        ok, what = number and (isinstance(value, int) or value.is_integer()), "an integer"
+    else:
+        ok = isinstance(value, kind)
+        what = {bool: "true or false", str: "a string", dict: "a JSON object"}[kind]
+    if not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+class _Fields:
+    """Strict typed reads from one JSON object; every error names its key."""
+
+    def __init__(self, doc, path: str = ""):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON "
+                              f"object, got {doc!r}")
+        self.doc, self.path = doc, path
+
+    def __call__(self, key: str, kind, default=_REQUIRED):
+        """``doc[key]`` as ``kind``: float, int, bool, str, dict, or a list
+        such as ``[float]``.  A missing or null key gives ``default``."""
+        name, value = self.path + key, self.doc.get(key)
+        if value is None:
+            _check(default is not _REQUIRED, f"missing required key {name!r}")
+            return default
+        if not isinstance(kind, list):
+            return _convert(value, kind, name)
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_convert(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value))
+
+    def choice(self, key: str, options: tuple, default=_REQUIRED):
+        value = self(key, str, default)
+        _check(value in options, f"{self.path}{key} must be one of {list(options)}, "
+                                 f"got {value!r}")
+        return value
+
+    def section(self, key: str, default=_REQUIRED) -> "_Fields":
+        return _Fields(self(key, dict, default), f"{self.path}{key}.")
+
+    def auto_or_int(self, key: str):
+        return "auto" if self.doc.get(key) == "auto" else self(key, int, "auto")
+
+    def potential(self) -> tuple[str, dict]:
+        """``"potential": "name"`` or ``{"name": ..., "params": {...}}``."""
+        if isinstance(self.doc.get("potential"), str):
+            return self.doc["potential"], {}
+        spec = self.section("potential")
+        return spec("name", str), spec("params", dict, {})
+
+
+def build_drift(kind: str, potential, delta: float, vector=None):
+    """The drift a config names: ``rotational`` delta J2 grad U,
+    ``constant`` delta * vector (all ones by default), or None for ``none``."""
+    if kind == "rotational":
+        return make_rotational_drift(J2, potential, delta)
+    if kind == "constant":
+        vector = (1.0,) * potential.dimension if vector is None else vector
+        _check(len(vector) == potential.dimension,
+               f"drift.vector has {len(vector)} entries, potential "
+               f"{potential.name!r} has dimension {potential.dimension}")
+        return make_constant_drift(vector, delta)
+    return None
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sampling-experiment description (JSON document)."""
+    """Sampling experiment (simulate, estimate, sweep, reproduce-table).
+    Construction checks that every name resolves and every drift builds, sets
+    ``initial`` (default: the origin) and ``checkpoints`` (default: the
+    horizon), and checks that each checkpoint has 2 samples per batch."""
 
     potential: str
     deltas: tuple[float, ...]
@@ -115,119 +190,165 @@ class ExperimentConfig:
     drift_kind: str = "rotational"
     observable: str = "sumsq"
     alpha: float = 0.05
-    batches: int | None = None  # None -> schedule m(t)
+    batches: int | str = "auto"  # "auto" -> schedule m(t)
     checkpoints: tuple[float, ...] = ()
     initial: tuple[float, ...] | None = None
     substeps: int | str = "auto"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            potential = doc["potential"]
-            if isinstance(potential, dict):
-                name = potential["name"]
-                params = dict(potential.get("params", {}))
-            else:
-                name, params = str(potential), {}
-            drift_doc = doc.get("drift", {"kind": "rotational", "delta": 0.0})
-            kind = drift_doc.get("kind", "rotational")
-            if "deltas" in drift_doc:
-                deltas = tuple(float(d) for d in drift_doc["deltas"])
-            elif "delta" in drift_doc:
-                deltas = (float(drift_doc["delta"]),)
-            else:
-                deltas = (0.0,)
-            cfg = cls(
-                potential=name,
-                potential_params=params,
-                drift_kind=kind,
-                deltas=deltas,
-                diffusion=float(doc["diffusion"]),
-                dt=float(doc["dt"]),
-                horizon=float(doc["horizon"]),
-                burn_in=float(doc.get("burn_in", 5.0)),
-                observable=str(doc.get("observable", "sumsq")),
-                alpha=float(doc.get("alpha", 0.05)),
-                batches=None if doc.get("batches") in (None, "auto")
-                else int(doc["batches"]),
-                seeds=tuple(int(s) for s in doc.get("seeds", ())),
-                checkpoints=tuple(float(t) for t in doc.get("checkpoints", ())),
-                initial=None if doc.get("initial") is None
-                else tuple(float(v) for v in doc["initial"]),
-                substeps=doc.get("substeps", "auto"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid experiment config: {exc}") from exc
-        cfg.validate()
-        return cfg
+        fields = _Fields(doc)
+        name, params = fields.potential()
+        drift = fields.section("drift", {})
+        deltas = drift("deltas", [float], None)
+        return cls(
+            potential=name,
+            potential_params=params,
+            drift_kind=drift.choice("kind", ("rotational", "constant", "none"),
+                                    "rotational"),
+            deltas=(drift("delta", float, 0.0),) if deltas is None else deltas,
+            diffusion=fields("diffusion", float),
+            dt=fields("dt", float),
+            horizon=fields("horizon", float),
+            burn_in=fields("burn_in", float, 5.0),
+            observable=fields("observable", str, "sumsq"),
+            alpha=fields("alpha", float, 0.05),
+            batches=fields.auto_or_int("batches"),
+            seeds=fields("seeds", [int], ()),
+            checkpoints=fields("checkpoints", [float], ()),
+            initial=fields("initial", [float], None),
+            substeps=fields.auto_or_int("substeps"),
+        )
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check(self.deltas and self.seeds, "delta and seed lists must be nonempty")
+        _check(self.dt > 0 and 0 <= self.burn_in < self.horizon,
+               "need dt > 0 and 0 <= burn_in < horizon")
+        _check(math.isfinite(self.horizon / self.dt), "horizon / dt is too large")
+        _check(0 < self.alpha < 1, "alpha must lie in (0, 1)")
+        _check(self.batches == "auto" or self.batches >= 2, "batches must be >= 2")
         try:
-            pot = get_potential(self.potential, **self.potential_params)
+            potential = self.build_potential()
             get_observable(self.observable)
+            if self.initial is None:
+                object.__setattr__(self, "initial", (0.0,) * potential.dimension)
+            for delta in self.deltas:
+                _check(self.substeps != "auto" or math.isfinite(delta * delta * self.dt),
+                       f"delta {delta} is too large for automatic substeps")
+                n_steps = self.sde(potential, delta).n_steps
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.deltas:
-            raise ConfigError("delta list must be nonempty")
-        if self.drift_kind not in ("rotational", "wedge", "constant", "none"):
-            raise ConfigError(f"unknown drift kind {self.drift_kind!r}")
-        if not self.seeds:
-            raise ConfigError("seed list must be nonempty")
-        if self.dt <= 0 or self.horizon <= self.burn_in:
-            raise ConfigError("need dt > 0 and horizon > burn_in")
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.initial is not None and len(self.initial) != pot.dimension:
-            raise ConfigError("initial state dimension mismatch")
+        object.__setattr__(self, "checkpoints", self.checkpoints or (self.horizon,))
+        start = round(self.burn_in / self.dt)
         for t in self.checkpoints:
-            if not self.burn_in < t <= self.horizon + 1e-9:
-                raise ConfigError(
-                    f"checkpoint {t} outside (burn_in, horizon]"
-                )
+            _check(self.burn_in < t <= self.horizon + 1e-9,
+                   f"checkpoint {t} outside (burn_in, horizon]")
+            samples, m = min(round(t / self.dt), n_steps) - start, self.batches_at(t)
+            _check(samples >= 2 * m, f"checkpoint {t} leaves {samples} post-burn-in "
+                                     f"samples, fewer than 2 per batch for m = {m}")
 
-    def resolved_checkpoints(self) -> tuple[float, ...]:
-        return self.checkpoints if self.checkpoints else (self.horizon,)
-
-    def substeps_for(self, delta: float) -> int:
-        if self.substeps == "auto":
-            return stable_substeps(delta, self.dt)
-        return int(self.substeps)
+    def batches_at(self, t: float) -> int:
+        return batch_count_schedule(t) if self.batches == "auto" else self.batches
 
     def build_potential(self):
         return get_potential(self.potential, **self.potential_params)
 
-    def build_drift(self, potential, delta: float):
-        if self.drift_kind == "none" or delta == 0.0:
-            # delta = 0 is exactly reversible dynamics for every recipe
-            return None
-        if self.drift_kind == "rotational":
-            return make_rotational_drift(J2, potential, delta)
-        if self.drift_kind == "wedge":
-            return make_wedge_drift(potential, (), delta)
-        if self.drift_kind == "constant":
-            return make_constant_drift([1.0] * potential.dimension, delta)
-        raise ConfigError(f"unknown drift kind {self.drift_kind!r}")
-
-    def default_initial(self, potential) -> tuple[float, ...]:
-        return self.initial if self.initial is not None \
-            else (0.0,) * potential.dimension
+    def sde(self, potential, delta: float, seed: int = 0) -> SdeConfig:
+        """One trajectory at strength ``delta``; SdeConfig checks the
+        diffusion, the substep count and the initial state's dimension."""
+        # delta = 0 is exactly reversible dynamics for every recipe
+        drift = None if delta == 0.0 else build_drift(self.drift_kind, potential, delta)
+        substeps = stable_substeps(delta, self.dt) if self.substeps == "auto" \
+            else self.substeps
+        return SdeConfig(potential, drift, self.diffusion, self.dt, self.horizon,
+                         self.initial, seed, substeps=substeps)
 
     def to_dict(self) -> dict:
-        return {
-            "potential": {"name": self.potential, "params": self.potential_params},
-            "drift": {"kind": self.drift_kind, "deltas": list(self.deltas)},
-            "diffusion": self.diffusion,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "burn_in": self.burn_in,
-            "observable": self.observable,
-            "alpha": self.alpha,
-            "batches": self.batches,
-            "seeds": list(self.seeds),
-            "checkpoints": list(self.checkpoints),
-            "initial": None if self.initial is None else list(self.initial),
-            "substeps": self.substeps,
-        }
+        """The config in document form, as echoed in manifest.json."""
+        doc = asdict(self)
+        doc["potential"] = {"name": doc["potential"], "params": doc.pop("potential_params")}
+        doc["drift"] = {"kind": doc.pop("drift_kind"), "deltas": doc.pop("deltas")}
+        return doc
+
+
+@dataclass(frozen=True)
+class RateConfig:
+    """ratefn inputs, resolved: the potential, the grid density (a density
+    file is read and its size checked here) and the drift."""
+
+    potential: object
+    density: GridDensity
+    drift: object
+    diffusion: float
+    quadratic: bool
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "RateConfig":
+        fields = _Fields(doc)
+        size, diffusion = fields("grid", int), fields("diffusion", float, 0.5)
+        _check(diffusion > 0, "diffusion must be > 0")
+        name, params = fields.potential()
+        potential = get_potential(name, **params)
+        dims = potential.dimension
+        _check(dims in (1, 2) and 1 <= size and size**dims <= MAX_RATE_GRID_NODES,
+               f"need a potential in 1 or 2 dimensions (not {dims}) and a grid "
+               f"with 1 <= grid**{dims} <= {MAX_RATE_GRID_NODES}")
+        density = fields.section("density")
+        kind = density.choice("kind", ("gibbs", "uniform", "file"))
+        if kind == "gibbs":
+            shift = density("shift", [float], None)
+            _check(shift is None or len(shift) == dims,
+                   f"density.shift must have {dims} entries")
+            grid_density = GridDensity.from_potential(
+                potential, density("diffusion", float, diffusion), size, shift=shift)
+        elif kind == "uniform":
+            grid_density = GridDensity.uniform(size, dims)
+        else:
+            path = density("path", str)
+            try:
+                raw = np.loadtxt(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read density file {path!r}: {exc}") from exc
+            _check(raw.size == size**dims, f"density file {path!r} has {raw.size} "
+                                           f"values, grid {size} needs {size**dims}")
+            grid_density = GridDensity.from_values(raw.reshape((size,) * dims))
+        drift = fields.section("drift", {})
+        return cls(
+            potential=potential,
+            density=grid_density,
+            drift=build_drift(drift.choice("kind", ("rotational", "constant"),
+                                           "rotational"), potential,
+                              drift("delta", float, 1.0), drift("vector", [float], None)),
+            diffusion=diffusion,
+            quadratic=fields("quadratic", bool, False),
+        )
+
+
+@dataclass(frozen=True)
+class SpectralConfig:
+    """spectral inputs: every ``ell_grid`` level lies strictly inside the
+    range of the observable sampled on the grid."""
+
+    deltas: tuple[float, ...]
+    diffusion: float
+    grid: int
+    ell_grid: tuple[float, ...]
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SpectralConfig":
+        fields = _Fields(doc)
+        config = cls(fields("deltas", [float]), fields("diffusion", float, 1.0),
+                     fields("grid", int, 256), fields("ell_grid", [float], ()))
+        _check(config.deltas, "delta list must be nonempty")
+        _check(config.diffusion > 0, "diffusion must be > 0")
+        _check(8 <= config.grid <= MAX_SPECTRAL_GRID,
+               f"grid must lie in [8, {MAX_SPECTRAL_GRID}]")
+        samples = SPECTRAL_OBSERVABLE.samples(config.grid)
+        for ell in config.ell_grid:
+            _check(samples.min() < ell < samples.max(),
+                   f"ell_grid level {ell} outside the open range "
+                   f"({samples.min():g}, {samples.max():g}) of the observable")
+        return config
 
 
 # ---------------------------------------------------------------------------
@@ -241,36 +362,21 @@ def _delta_group_rows(config: ExperimentConfig, delta_index: int) -> list[dict]:
     splitmix64(delta_index, seed_index), so results do not depend on how
     groups are scheduled across workers.
     """
-    delta = config.deltas[delta_index]
+    delta, cells = config.deltas[delta_index], len(config.seeds)
     potential = config.build_potential()
-    obs = get_observable(config.observable)
-    drift = config.build_drift(potential, delta)
-    substeps = config.substeps_for(delta)
-    initial = config.default_initial(potential)
-    n_steps = int(math.floor(config.horizon / config.dt + 1e-9))
-    streams = [
-        NormalStream(seed, splitmix64(delta_index, j))
-        for j, seed in enumerate(config.seeds)
-    ]
+    sde = config.sde(potential, delta)
+    streams = [NormalStream(seed, splitmix64(delta_index, j))
+               for j, seed in enumerate(config.seeds)]
     series = simulate_cells(
-        potential,
-        [drift] * len(config.seeds),
-        config.diffusion,
-        config.dt,
-        n_steps,
-        [initial] * len(config.seeds),
-        streams,
-        observable=obs.fn,
-        substeps=substeps,
-    )
+        potential, [sde.drift] * cells, sde.diffusion, sde.dt, sde.n_steps,
+        [sde.initial] * cells, streams,
+        observable=get_observable(config.observable).fn, substeps=sde.substeps)
     rows = []
     for j, seed in enumerate(config.seeds):
-        for t in config.resolved_checkpoints():
-            n = int(round(t / config.dt))
-            window = series[j][: n + 1]
-            m = config.batches if config.batches else batch_count_schedule(t)
+        for t in config.checkpoints:
+            window = series[j][: round(t / config.dt) + 1]
+            m = config.batches_at(t)
             report = batch_means(window, m, config.alpha, config.dt, config.burn_in)
-            sigma2_b = report.variance_scaled()
             sigma2_a = asymptotic_variance_estimate(
                 window, config.dt, m=m, burn_in=config.burn_in, method="autocov"
             )
@@ -286,7 +392,7 @@ def _delta_group_rows(config: ExperimentConfig, delta_index: int) -> list[dict]:
                 "s2m": report.s2m,
                 "ci_lo": report.ci_lower,
                 "ci_hi": report.ci_upper,
-                "sigma2_batch": sigma2_b,
+                "sigma2_batch": report.variance_scaled(),
                 "sigma2_autocov": sigma2_a,
                 "seed": seed,
             })
@@ -295,29 +401,23 @@ def _delta_group_rows(config: ExperimentConfig, delta_index: int) -> list[dict]:
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
     """Rows for the full (delta, seed, checkpoint) grid, in deterministic
-    cell order regardless of scheduling."""
+    cell order regardless of scheduling.  The pool never has more workers
+    than delta groups."""
+    _check(threads >= 1, f"--threads must be >= 1, got {threads}")
     indices = range(len(config.deltas))
     if threads > 1 and len(config.deltas) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(_run_group_task,
-                                   [(config, i) for i in indices]))
+        workers = min(threads, len(config.deltas))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_delta_group_rows, [config] * len(indices), indices))
     else:
         groups = [_delta_group_rows(config, i) for i in indices]
-    rows = []
-    for group in groups:
-        rows.extend(group)
-    return rows
-
-
-def _run_group_task(args):
-    config, index = args
-    return _delta_group_rows(config, index)
+    return [row for group in groups for row in group]
 
 
 def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # shortest round-trip form, numpy included
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def write_csv(path: Path, columns, rows) -> None:
@@ -329,14 +429,9 @@ def write_csv(path: Path, columns, rows) -> None:
 
 
 def write_manifest(path: Path, config_doc: dict, extra: dict | None = None) -> None:
-    doc = {
-        "version": __version__,
-        "rng": NORMAL_ALGORITHM,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": config_doc,
-    }
-    if extra:
-        doc.update(extra)
+    doc = {"version": __version__, "rng": NORMAL_ALGORITHM,
+           "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": config_doc,
+           **(extra or {})}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -378,25 +473,14 @@ def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
     *more* variance reduction than the printed cells, which is a success,
     not a mismatch.)  ``scale`` rescales every horizon.
     """
-    if table_id not in TABLE_SPECS:
-        raise ConfigError(f"table id must be one of {sorted(TABLE_SPECS)}")
-    if not 0 < scale <= 1.0:
-        raise ConfigError("scale must lie in (0, 1]")
+    _check(table_id in TABLE_SPECS, f"table id must be one of {sorted(TABLE_SPECS)}")
+    _check(0 < scale <= 1.0, "scale must lie in (0, 1]")
     spec = TABLE_SPECS[table_id]
     times = tuple(t * scale for t in spec["times"])
-    burn_in = min(5.0, 0.25 * min(times))
     config = ExperimentConfig(
-        potential=spec["potential"],
-        deltas=spec["deltas"],
-        diffusion=0.1,
-        dt=1e-3,
-        horizon=max(times),
-        burn_in=burn_in,
-        observable="sumsq",
-        seeds=tuple(seeds),
-        checkpoints=times,
-        initial=None,
-    )
+        potential=spec["potential"], deltas=spec["deltas"], diffusion=0.1, dt=1e-3,
+        horizon=max(times), burn_in=min(5.0, 0.25 * min(times)), seeds=tuple(seeds),
+        checkpoints=times)
     rows = run_experiment(config, threads=threads)
 
     medians: dict = {}
@@ -426,46 +510,47 @@ def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
 # subcommands
 
 
-def _load_config_doc(path: str) -> dict:
+def _load_config_doc(args) -> dict:
+    if not args.config:
+        raise ConfigError(f"{args.command} requires --config")
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing file, bad JSON, bad encoding
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    _check(isinstance(doc, dict), "config must be a JSON object")
+    return doc
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, "
+                          f"got {text!r}") from None
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    doc = _load_config_doc(args.config)
+    doc = _load_config_doc(args)
     if args.seeds:
-        doc["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        doc["seeds"] = list(_seed_list(args.seeds))
     return ExperimentConfig.from_dict(doc)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
 def cmd_simulate(args) -> int:
     config = _experiment_config(args)
     out = _out_dir(args)
-    potential = config.build_potential()
-    delta = config.deltas[0]
-    sde = SdeConfig(
-        potential=potential,
-        drift=config.build_drift(potential, delta),
-        diffusion=config.diffusion,
-        dt=config.dt,
-        horizon=config.horizon,
-        initial=config.default_initial(potential),
-        seed=config.seeds[0],
-        stream_id=0,
-        substeps=config.substeps_for(delta),
-    )
-    trajectory = simulate(sde)
+    trajectory = simulate(config.sde(config.build_potential(), config.deltas[0],
+                                     seed=config.seeds[0]))
     path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
     save_trajectory(trajectory, path)
     write_manifest(out / "manifest.json", config.to_dict(),
@@ -475,54 +560,32 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    """estimate writes every (delta, seed, checkpoint) row to results.csv;
+    sweep writes the confidence bands of the same rows, grouped per seed,
+    to sweep.csv."""
     config = _experiment_config(args)
     out = _out_dir(args)
     rows = run_experiment(config, threads=args.threads)
-    write_csv(out / "results.csv", RESULT_COLUMNS, rows)
+    name, columns = "results.csv", RESULT_COLUMNS
+    if args.command == "sweep":
+        name, columns = "sweep.csv", SWEEP_COLUMNS
+        rows = sorted(rows, key=lambda r: (r["delta"], r["seed"], r["t"]))
+    write_csv(out / name, columns, rows)
     write_manifest(out / "manifest.json", config.to_dict(),
                    {"threads": args.threads})
-    print(f"wrote {out / 'results.csv'} ({len(rows)} rows)")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    config = _experiment_config(args)
-    out = _out_dir(args)
-    rows = run_experiment(config, threads=args.threads)
-    sweep_rows = [
-        {k: row[k] for k in SWEEP_COLUMNS}
-        for row in sorted(rows, key=lambda r: (r["delta"], r["seed"], r["t"]))
-    ]
-    write_csv(out / "sweep.csv", SWEEP_COLUMNS, sweep_rows)
-    write_manifest(out / "manifest.json", config.to_dict(),
-                   {"threads": args.threads})
-    print(f"wrote {out / 'sweep.csv'} ({len(sweep_rows)} rows)")
+    print(f"wrote {out / name} ({len(rows)} rows)")
     return 0
 
 
 def cmd_reproduce_table(args) -> int:
+    seeds = _seed_list(args.seeds) if args.seeds else (1, 2, 3, 4, 5)
     out = _out_dir(args)
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds \
-        else (1, 2, 3, 4, 5)
     comparison, rows = reproduce_table(args.table, scale=args.scale,
                                        seeds=seeds, threads=args.threads)
     write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    table_rows = []
-    for (delta, t), cell in sorted(comparison.cells.items()):
-        table_rows.append({
-            "table": args.table,
-            "delta": delta,
-            "t": t,
-            "reference_value": cell.reference_value,
-            "measured_value": cell.measured_value,
-            "reference_ratio": "" if cell.reference_ratio is None
-            else cell.reference_ratio,
-            "measured_ratio": "" if cell.measured_ratio is None
-            else cell.measured_ratio,
-            "ratio_check": cell.ratio_check,
-        })
-    columns = ["table", "delta", "t", "reference_value", "measured_value",
-               "reference_ratio", "measured_ratio", "ratio_check"]
+    table_rows = [{"table": args.table, "delta": delta, "t": t, **asdict(cell)}
+                  for (delta, t), cell in sorted(comparison.cells.items())]
+    columns = list(table_rows[0])
     write_csv(out / f"table{args.table}_comparison.csv", columns, table_rows)
     write_manifest(out / "manifest.json",
                    {"table": args.table, "scale": args.scale, "seeds": list(seeds)},
@@ -533,104 +596,46 @@ def cmd_reproduce_table(args) -> int:
 
 
 def cmd_ratefn(args) -> int:
-    doc = _load_config_doc(args.config)
+    config = RateConfig.from_dict(_load_config_doc(args))
     out = _out_dir(args)
-    try:
-        size = int(doc["grid"])
-        diffusion = float(doc.get("diffusion", 0.5))
-        pot_doc = doc["potential"]
-        potential = get_potential(pot_doc["name"], **pot_doc.get("params", {}))
-        density_doc = doc["density"]
-        kind = density_doc["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ratefn config: {exc}") from exc
-
-    if kind == "gibbs":
-        density = GridDensity.from_potential(
-            potential, float(density_doc.get("diffusion", diffusion)), size,
-            shift=density_doc.get("shift"),
-        )
-    elif kind == "uniform":
-        density = GridDensity.uniform(size, potential.dimension)
-    elif kind == "file":
-        raw = np.loadtxt(density_doc["path"])
-        shape = (size,) if potential.dimension == 1 else (size, size)
-        density = GridDensity.from_values(raw.reshape(shape))
-    else:
-        raise ConfigError(f"unknown density kind {kind!r}")
-
-    drift_doc = doc.get("drift", {"kind": "rotational", "delta": 1.0})
-    delta = float(drift_doc.get("delta", 1.0))
-    if drift_doc.get("kind", "rotational") == "rotational":
-        drift = make_rotational_drift(J2, potential, delta)
-    elif drift_doc["kind"] == "wedge":
-        drift = make_wedge_drift(potential, (), delta)
-    elif drift_doc["kind"] == "constant":
-        drift = make_constant_drift(
-            drift_doc.get("vector", [1.0] * potential.dimension), delta)
-    else:
-        raise ConfigError(f"unknown drift kind {drift_doc['kind']!r}")
-
-    report = rate_irreversible(density, potential, drift, diffusion,
-                               compute_quadratic=bool(doc.get("quadratic", False)))
+    report = rate_irreversible(config.density, config.potential, config.drift,
+                               config.diffusion, compute_quadratic=config.quadratic)
     report_doc = {
-        "I0": report.i0,
-        "J_C": report.j_c,
-        "I_C": report.i_c,
-        "K": report.k,
-        "diffusion": report.diffusion,
-        "grid": list(report.grid_shape),
+        "I0": report.i0, "J_C": report.j_c, "I_C": report.i_c, "K": report.k,
+        "diffusion": report.diffusion, "grid": list(report.grid_shape),
         "gauge_residual": report.gauge_residual,
         "gauge_residual_rel": report.gauge_residual_rel,
-        "lemma_value": report.lemma_value,
-        "lemma_mismatch": report.lemma_mismatch,
+        "lemma_value": report.lemma_value, "lemma_mismatch": report.lemma_mismatch,
     }
     (out / "rate_report.json").write_text(
         json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
     columns = ["potential", "delta", "D", "grid", "I0", "J_C", "I_C", "K"]
     write_csv(out / "rate_summary.csv", columns, [{
-        "potential": potential.name,
-        "delta": delta,
-        "D": diffusion,
-        "grid": size,
-        "I0": report.i0,
-        "J_C": report.j_c,
-        "I_C": report.i_c,
-        "K": "" if report.k is None else report.k,
+        **report_doc, "potential": config.potential.name, "delta": config.drift.delta,
+        "D": config.diffusion, "grid": config.density.size,
     }])
     print(f"wrote {out / 'rate_report.json'}")
     return 0
 
 
 def cmd_spectral(args) -> int:
-    doc = _load_config_doc(args.config)
+    doc = _load_config_doc(args)
+    config = SpectralConfig.from_dict(doc)
     out = _out_dir(args)
-    try:
-        deltas = [float(d) for d in doc["deltas"]]
-        diffusion = float(doc.get("diffusion", 1.0))
-        size = int(doc.get("grid", 256))
-        ell_grid = [float(x) for x in doc.get("ell_grid", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid spectral config: {exc}") from exc
-    observable = FourierObservable.cosine()
-    samples = observable.samples(size)
-
+    samples = SPECTRAL_OBSERVABLE.samples(config.grid)
     sigma_rows, curve_rows = [], []
-    for delta in deltas:
-        curvature, implied = rate_curvature(samples, delta, diffusion)
+    for delta in config.deltas:
+        curvature, implied = rate_curvature(samples, delta, config.diffusion)
         sigma_rows.append({
-            "delta": delta,
-            "D": diffusion,
-            "sigma2_fourier": fourier_sigma2(observable, delta, diffusion),
+            "delta": delta, "D": config.diffusion,
+            "sigma2_fourier": fourier_sigma2(SPECTRAL_OBSERVABLE, delta, config.diffusion),
             "sigma2_curvature": implied,
         })
-        if ell_grid:
-            curve = observable_rate(samples, delta, diffusion, ell_grid)
-            for ell, rate in zip(curve.ells, curve.rates):
-                curve_rows.append({
-                    "delta": delta, "D": diffusion,
-                    "ell": float(ell), "rate": float(rate),
-                })
+        if config.ell_grid:
+            curve = observable_rate(samples, delta, config.diffusion, config.ell_grid)
+            curve_rows += [{"delta": delta, "D": config.diffusion,
+                            "ell": float(ell), "rate": float(rate)}
+                           for ell, rate in zip(curve.ells, curve.rates)]
     write_csv(out / "sigma2.csv",
               ["delta", "D", "sigma2_fourier", "sigma2_curvature"], sigma_rows)
     if curve_rows:
@@ -644,50 +649,44 @@ def cmd_spectral(args) -> int:
 # entry point
 
 
+#: Every command-line flag; each subcommand takes --out and the ones it lists.
+FLAGS = {
+    "--out": dict(default="out", help="output directory"),
+    "--config": dict(help="path to a JSON config document"),
+    "--seeds": dict(help="comma-separated seed list override"),
+    "--threads": dict(type=int, default=1, help="parallel workers over delta groups"),
+    "--save-path": dict(help="trajectory file destination"),
+    "--table": dict(type=int, required=True, choices=sorted(TABLE_SPECS)),
+    "--scale": dict(type=float, default=1.0, help="horizon rescaling factor"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="irrlangevin",
-        description="Irreversible Langevin sampling experiments",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON config document")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seeds", help="comma-separated seed list override")
-    common.add_argument("--scale", type=float, default=1.0,
-                        help="horizon rescaling factor (reproduce-table)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel workers over delta groups")
-
+        prog="irrlangevin", description="Irreversible Langevin sampling experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("simulate", parents=[common],
-                       help="integrate and store one trajectory")
-    p.add_argument("--save-path", help="trajectory file destination")
-    p.set_defaults(handler=cmd_simulate, needs_config=True)
-    p = sub.add_parser("estimate", parents=[common],
-                       help="batch-means estimation grid")
-    p.set_defaults(handler=cmd_estimate, needs_config=True)
-    p = sub.add_parser("sweep", parents=[common],
-                       help="confidence-band time series per delta")
-    p.set_defaults(handler=cmd_sweep, needs_config=True)
-    p = sub.add_parser("reproduce-table", parents=[common],
-                       help="rerun a bundled reference-variance table")
-    p.add_argument("--table", type=int, required=True, choices=sorted(TABLE_SPECS))
-    p.set_defaults(handler=cmd_reproduce_table, needs_config=False)
-    p = sub.add_parser("ratefn", parents=[common],
-                       help="rate-functional report for a grid density")
-    p.set_defaults(handler=cmd_ratefn, needs_config=True)
-    p = sub.add_parser("spectral", parents=[common],
-                       help="circle sigma^2 tables and rate curves")
-    p.set_defaults(handler=cmd_spectral, needs_config=True)
+    for name, handler, flags, text in (
+        ("simulate", cmd_simulate, "--config --seeds --save-path",
+         "integrate and store one trajectory"),
+        ("estimate", cmd_estimate, "--config --seeds --threads",
+         "batch-means estimation grid"),
+        ("sweep", cmd_estimate, "--config --seeds --threads",
+         "confidence-band time series per delta"),
+        ("reproduce-table", cmd_reproduce_table, "--table --scale --seeds --threads",
+         "rerun a bundled reference-variance table"),
+        ("ratefn", cmd_ratefn, "--config", "rate-functional report for a grid density"),
+        ("spectral", cmd_spectral, "--config", "circle sigma^2 tables and rate curves"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.set_defaults(handler=handler)
+        for flag in ("--out", *flags.split()):
+            command.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "needs_config", False) and not args.config:
-            raise ConfigError(f"{args.command} requires --config")
         return args.handler(args)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -21,6 +21,23 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 TWO_PI = 2.0 * math.pi
+#: Largest ``dim`` a builder accepts.  Each cell stores a state of this size
+#: and draws as many normals per step, so the bound is about memory.
+MAX_DIMENSION = 2**16
+
+
+def _dimension(dim) -> int:
+    d = int(dim)
+    if d != dim or not 1 <= d <= MAX_DIMENSION:
+        raise ParameterError(f"dim must be an integer in [1, {MAX_DIMENSION}], got {dim!r}")
+    return d
+
+
+def _coefficient(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ParameterError(f"potential coefficients must be finite, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -81,9 +98,7 @@ class PotentialField:
 
 
 def _quadratic(dim: int = 2) -> PotentialField:
-    dim = int(dim)
-    if dim < 1:
-        raise ParameterError("quadratic potential needs dim >= 1")
+    dim = _dimension(dim)
     return PotentialField(
         name="quadratic",
         dimension=dim,
@@ -155,7 +170,7 @@ def _threewell() -> PotentialField:
 
 def _torus_cosine(a: float = 1.0, b: float = 1.0) -> PotentialField:
     # U(x, y) = a cos x + b cos y on [0, 2 pi)^2
-    a, b = float(a), float(b)
+    a, b = _coefficient(a), _coefficient(b)
 
     def value(z):
         return a * np.cos(z[..., 0]) + b * np.cos(z[..., 1])
@@ -173,7 +188,7 @@ def _torus_cosine(a: float = 1.0, b: float = 1.0) -> PotentialField:
 
 
 def _torus_cosine_1d(a: float = 1.0) -> PotentialField:
-    a = float(a)
+    a = _coefficient(a)
     return PotentialField(
         name="torus-cosine-1d",
         dimension=1,
@@ -186,7 +201,7 @@ def _torus_cosine_1d(a: float = 1.0) -> PotentialField:
 
 
 def _torus_zero(dim: int = 1) -> PotentialField:
-    dim = int(dim)
+    dim = _dimension(dim)
     return PotentialField(
         name="torus-zero",
         dimension=dim,
@@ -220,15 +235,20 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def get_potential(name: str, **params) -> PotentialField:
-    """Build a catalog potential by name."""
+def get_potential(name: str, /, **params) -> PotentialField:
+    """Build a catalog potential by name.  Parameters the builder rejects
+    (an unknown keyword, a wrong type, a value out of range) raise
+    ParameterError."""
     try:
         entry = CATALOG[name]
     except KeyError:
         raise ParameterError(
             f"unknown potential {name!r}; available: {sorted(CATALOG)}"
         ) from None
-    return entry.builder(**params)
+    try:
+        return entry.builder(**params)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"potential {name!r}: {exc}") from exc
 
 
 def finite_difference_gradient(field: PotentialField, x, h: float = 1e-5) -> np.ndarray:

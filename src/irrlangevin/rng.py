@@ -22,15 +22,12 @@ from scipy.special import ndtri
 #: Identifier recorded in trajectory metadata so golden files stay valid.
 NORMAL_ALGORITHM = "philox4x64/inverse-cdf-53bit"
 
-_U64 = np.uint64
+_MASK64 = 2**64 - 1
 
 
-def _as_u64(value: int, what: str) -> np.uint64:
-    iv = int(value)
-    if not 0 <= iv < 2**64:
-        # Negative user seeds are folded into the 64-bit key space.
-        iv %= 2**64
-    return _U64(iv)
+def _as_u64(value: int) -> int:
+    # Negative user seeds are folded into the 64-bit key space.
+    return int(value) & _MASK64
 
 
 class NormalStream:
@@ -39,29 +36,23 @@ class NormalStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
-        key = np.array(
-            [_as_u64(seed, "seed"), _as_u64(stream_id, "stream_id")], dtype=_U64
-        )
+        key = np.array([_as_u64(seed), _as_u64(stream_id)], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normals of this stream."""
         raw = self._bitgen.random_raw(int(n))
-        u = ((raw >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         return ndtri(u)
 
 
 def splitmix64(*values: int) -> int:
     """Deterministic 64-bit mix of small integers, for deriving stream ids
     from cell coordinates (delta index, seed index, ...)."""
-    state = _U64(0x9E3779B97F4A7C15)
-    out = _U64(0)
-    with np.errstate(over="ignore"):
-        for v in values:
-            state = _U64((int(state) + int(_as_u64(v, "value")) + 0x632BE59BD9B4E019) % 2**64)
-            z = state
-            z = _U64((int(z) ^ (int(z) >> 30)) * 0xBF58476D1CE4E5B9 % 2**64)
-            z = _U64((int(z) ^ (int(z) >> 27)) * 0x94D049BB133111EB % 2**64)
-            z = _U64((int(z) ^ (int(z) >> 31)))
-            out = _U64((int(out) ^ int(z)) % 2**64)
-    return int(out)
+    state, out = 0x9E3779B97F4A7C15, 0
+    for v in values:
+        state = (state + _as_u64(v) + 0x632BE59BD9B4E019) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out ^= z ^ (z >> 31)
+    return out

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from irrlangevin import cli
 from irrlangevin.cli import (
     ExperimentConfig,
     RESULT_COLUMNS,
@@ -210,3 +213,202 @@ def test_spectral_cli(tmp_path):
     curve_lines = (out / "rate_curve.csv").read_text().splitlines()
     assert curve_lines[0] == "delta,D,ell,rate"
     assert len(curve_lines) == 1 + 4  # 2 deltas x 2 levels
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: 0 success, 2 config error, 3 numeric failure
+
+
+class SolveStarted(Exception):
+    """Raised by the stubbed solver entry points."""
+
+
+@pytest.fixture
+def solvers(monkeypatch):
+    """Replace the solver entry points of ``cli`` with stubs that record
+    their name and raise SolveStarted."""
+    calls = []
+
+    def stub(name):
+        def entry(*args, **kwargs):
+            calls.append(name)
+            raise SolveStarted(name)
+        return entry
+
+    for name in ("simulate_cells", "rate_irreversible", "rate_curvature"):
+        monkeypatch.setattr(cli, name, stub(name))
+    return calls
+
+
+def rate_config(**overrides):
+    doc = {
+        "grid": 16,
+        "diffusion": 0.5,
+        "potential": {"name": "torus-zero", "params": {"dim": 1}},
+        "density": {"kind": "uniform"},
+        "drift": {"kind": "constant", "vector": [1.0], "delta": 1.0},
+    }
+    doc.update(overrides)
+    return doc
+
+
+def spectral_config(**overrides):
+    doc = {"deltas": [0.0, 1.0], "diffusion": 1.0, "grid": 32, "ell_grid": [-0.3, 0.3]}
+    doc.update(overrides)
+    return doc
+
+
+NAN = float("nan")
+BAD_INPUTS = {
+    "substeps_not_int": ("estimate", ou_config(substeps="foo"), []),
+    "negative_diffusion": ("estimate", ou_config(diffusion=-1.0), []),
+    "nan_dt": ("estimate", ou_config(dt=NAN), []),
+    "unknown_potential_param": (
+        "estimate", ou_config(potential={"name": "quadratic", "params": {"foo": 3}}), []),
+    "drift_is_list": ("estimate", ou_config(drift=[0.0, 1.0]), []),
+    "ratefn_grid_zero": ("ratefn", rate_config(grid=0), []),
+    "density_file_missing": (
+        "ratefn", rate_config(density={"kind": "file", "path": "{tmp}/none.txt"}), []),
+    "density_file_wrong_size": (
+        "ratefn", rate_config(density={"kind": "file", "path": "{tmp}/short.txt"}), []),
+    "constant_vector_wrong_length": (
+        "ratefn", rate_config(drift={"kind": "constant", "vector": [1.0, 2.0]}), []),
+    "seeds_flag_not_int": ("estimate", ou_config(), ["--seeds", "a,b"]),
+    "nan_diffusion": ("estimate", ou_config(diffusion=NAN), []),
+    "spectral_zero_diffusion": ("spectral", spectral_config(diffusion=0), []),
+    "fractional_seed": ("estimate", ou_config(seeds=[1.5]), []),
+    "one_batch": ("estimate", ou_config(batches=1), []),
+    "ell_outside_range": ("spectral", spectral_config(ell_grid=[0.5, 2.0]), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_before_any_solve(case, tmp_path, solvers, capsys):
+    command, doc, flags = BAD_INPUTS[case]
+    (tmp_path / "short.txt").write_text("1.0\n" * 10)
+    cfg = write_config(tmp_path, json.loads(json.dumps(doc).replace("{tmp}", str(tmp_path))))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
+    assert solvers == []
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--scale", "0.5"],
+    ["simulate", "--threads", "2"],
+    ["ratefn", "--seeds", "1,2"],
+    ["spectral", "--threads", "2"],
+    ["reproduce-table", "--table", "1", "--config", "c.json"],
+])
+def test_flags_a_subcommand_ignored_are_rejected(argv, tmp_path, solvers):
+    cfg = write_config(tmp_path, ou_config())
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert solvers == []
+
+
+def test_wedge_drift_kind_is_rejected(tmp_path, solvers):
+    cfg = write_config(tmp_path, ou_config(drift={"kind": "wedge", "deltas": [1.0]}))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert solvers == []
+
+
+def test_thread_pool_never_exceeds_delta_groups(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    doc = ou_config(drift={"kind": "rotational", "deltas": [0.0, 1.0]},
+                    horizon=3.0, burn_in=1.0, seeds=[1])
+    cfg, out = write_config(tmp_path, doc), str(tmp_path / "o")
+    assert main(["estimate", "--config", cfg, "--out", out, "--threads", "5000"]) == 0
+    assert sizes == [2]
+    assert main(["estimate", "--config", cfg, "--out", out, "--threads", "0"]) == 2
+    assert sizes == [2]
+
+
+# A fuzzed document is a valid config with up to three of its keys, nested
+# keys included, dropped or replaced by JSON values of every type:
+# non-finite and huge numbers, near-miss names, lists and objects.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "auto", "foo", "wedge", "none", "constant", "gibbs", "file",
+                     "uniform", "quadratic", "torus-zero", "bimodal1", "x", "{tmp}"]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.none(), st.just("a")),
+             max_size=4),
+    st.dictionaries(st.sampled_from(["name", "params", "kind", "delta", "dim", "a"]),
+                    st.one_of(st.integers(-2, 3), st.floats(-2.0, 2.0)), max_size=3),
+)
+DROP = object()
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    doc = json.loads(json.dumps(base))
+    paths = draw(st.lists(st.sampled_from(list(key_paths(base))), max_size=3, unique=True))
+    for path in paths:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue  # an earlier mutation replaced this sub-document
+        value = draw(st.one_of(st.just(DROP), JUNK))
+        if value is DROP:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+FUZZ_BASES = {
+    "estimate": ou_config(potential={"name": "quadratic", "params": {"dim": 2}},
+                          drift={"kind": "rotational", "deltas": [0.0, 2.0]},
+                          checkpoints=[20.0, 50.0], batches=10, alpha=0.1,
+                          substeps="auto"),
+    "ratefn": rate_config(density={"kind": "file", "path": "{tmp}/d.txt"}, quadratic=True),
+    "ratefn-gibbs": rate_config(
+        potential={"name": "torus-cosine", "params": {"a": 0.5, "b": 0.5}},
+        density={"kind": "gibbs", "diffusion": 0.5, "shift": [1.0, 0.0]},
+        drift={"kind": "rotational", "delta": 1.0}),
+    "spectral": spectral_config(),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+@pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+def test_fuzzed_configs_exit_2_or_reach_the_solver(base, data, tmp_path, solvers):
+    np.savetxt(tmp_path / "d.txt", np.ones(16))
+    doc = data.draw(mutated(FUZZ_BASES[base]))
+    cfg = write_config(tmp_path, json.loads(json.dumps(doc).replace("{tmp}", str(tmp_path))))
+    solvers.clear()
+    try:
+        code = main([base.split("-")[0], "--config", cfg, "--out", str(tmp_path / "o")])
+    except SolveStarted:
+        return
+    assert code == 2
+    assert solvers == []

@@ -111,6 +111,23 @@ def test_unknown_name_raises():
         get_potential("does-not-exist")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("quadratic", {"foo": 3}),
+    ("quadratic", {"name": 0}),
+    ("quadratic", {"dim": "x"}),
+    ("quadratic", {"dim": 2.5}),
+    ("quadratic", {"dim": float("inf")}),
+    ("quadratic", {"dim": 2**70}),
+    ("torus-zero", {"dim": 0}),
+    ("torus-cosine", {"a": float("nan")}),
+    ("torus-cosine-1d", {"a": [1.0]}),
+    ("bimodal1", {"dim": 2}),
+])
+def test_bad_builder_params_raise_parameter_error(name, params):
+    with pytest.raises(ParameterError):
+        get_potential(name, **params)
+
+
 def test_torus_cosine_parameters():
     field = get_potential("torus-cosine", a=2.0, b=0.5)
     assert field.eval([0.0, 0.0]) == pytest.approx(2.5)

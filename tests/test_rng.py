@@ -50,3 +50,11 @@ def test_splitmix64_deterministic_and_spread():
     values = {splitmix64(i, j) for i in range(10) for j in range(10)}
     assert len(values) == 100
     assert all(0 <= v < 2**64 for v in values)
+
+
+def test_splitmix64_pinned_values():
+    # stream ids key every CSV row, so the mix must never change
+    assert splitmix64(0, 0) == 15462708232189986426
+    assert splitmix64(1, 2) == 11447148704459481933
+    assert splitmix64(-1) == 7948447886118322456
+    assert splitmix64(2**64 - 1, 7) == 2137863590607498676
