@@ -37,7 +37,9 @@ from .estimators import (
 from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
-from .sampler import SdeConfig, save_trajectory, simulate, simulate_cells, stable_substeps
+from .sampler import (
+    NOISE_CHUNK, SdeConfig, save_trajectory, simulate, simulate_cells, stable_substeps,
+)
 from .spectral import FourierObservable, fourier_sigma2, observable_rate, rate_curvature
 
 RESULT_COLUMNS = (
@@ -92,9 +94,14 @@ TABLE_SPECS = {
 
 _REQUIRED = object()
 #: Grid bounds: memory grows with the ratefn node count and, through its
-#: dense N x N operators, with the square of the spectral grid.
+#: dense N x N operators, with the square of the spectral grid.  One dense
+#: eigensolve at N = 2048 took 13-16 s on 2 cores; a curvature needs ~50.
 MAX_RATE_GRID_NODES = 2**20
 MAX_SPECTRAL_GRID = 2048
+#: Most float64 values (512 MiB) one delta group may hold in its recorded
+#: series or in one noise chunk; the largest shipped run, a 200-seed
+#: ensemble of 50001 steps, records 1e7.
+MAX_SAMPLER_VALUES = 2**26
 
 
 def _check(ok: bool, message: str) -> None:
@@ -177,7 +184,9 @@ class ExperimentConfig:
     """Sampling experiment (simulate, estimate, sweep, reproduce-table).
     Construction checks that every name resolves and every drift builds, sets
     ``initial`` (default: the origin) and ``checkpoints`` (default: the
-    horizon), and checks that each checkpoint has 2 samples per batch."""
+    horizon), and checks that each checkpoint has 2 samples per batch and
+    that each delta group's recorded series ((n_steps + 1) x cells, or x d
+    for simulate's trajectory) and noise chunk fit in MAX_SAMPLER_VALUES."""
 
     potential: str
     deltas: tuple[float, ...]
@@ -235,7 +244,12 @@ class ExperimentConfig:
             for delta in self.deltas:
                 _check(self.substeps != "auto" or math.isfinite(delta * delta * self.dt),
                        f"delta {delta} is too large for automatic substeps")
-                n_steps = self.sde(potential, delta).n_steps
+                sde = self.sde(potential, delta)
+                n_steps, cells, dims = sde.n_steps, len(self.seeds), potential.dimension
+                values = max((n_steps + 1) * max(cells, dims),
+                             cells * max(sde.substeps, NOISE_CHUNK) * dims)
+                _check(values <= MAX_SAMPLER_VALUES, f"delta {delta} needs {values} "
+                       f"values in one series or noise chunk, over {MAX_SAMPLER_VALUES}")
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "checkpoints", self.checkpoints or (self.horizon,))
@@ -326,8 +340,8 @@ class RateConfig:
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """spectral inputs: every ``ell_grid`` level lies strictly inside the
-    range of the observable sampled on the grid."""
+    """spectral inputs: the ``ell_grid`` levels are distinct and each lies
+    strictly inside the range of the observable sampled on the grid."""
 
     deltas: tuple[float, ...]
     diffusion: float
@@ -343,6 +357,8 @@ class SpectralConfig:
         _check(config.diffusion > 0, "diffusion must be > 0")
         _check(8 <= config.grid <= MAX_SPECTRAL_GRID,
                f"grid must lie in [8, {MAX_SPECTRAL_GRID}]")
+        _check(len(set(config.ell_grid)) == len(config.ell_grid),
+               f"ell_grid levels must be distinct, got {list(config.ell_grid)}")
         samples = SPECTRAL_OBSERVABLE.samples(config.grid)
         for ell in config.ell_grid:
             _check(samples.min() < ell < samples.max(),
@@ -619,8 +635,7 @@ def cmd_ratefn(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    doc = _load_config_doc(args)
-    config = SpectralConfig.from_dict(doc)
+    config = SpectralConfig.from_dict(_load_config_doc(args))
     out = _out_dir(args)
     samples = SPECTRAL_OBSERVABLE.samples(config.grid)
     sigma_rows, curve_rows = [], []
@@ -640,7 +655,7 @@ def cmd_spectral(args) -> int:
               ["delta", "D", "sigma2_fourier", "sigma2_curvature"], sigma_rows)
     if curve_rows:
         write_csv(out / "rate_curve.csv", ["delta", "D", "ell", "rate"], curve_rows)
-    write_manifest(out / "manifest.json", doc)
+    write_manifest(out / "manifest.json", asdict(config))
     print(f"wrote {out / 'sigma2.csv'}")
     return 0
 

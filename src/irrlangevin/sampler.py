@@ -28,6 +28,10 @@ from .rng import NORMAL_ALGORITHM, NormalStream
 TRAJECTORY_FORMAT = "irrlangevin-trajectory"
 TRAJECTORY_VERSION = 1
 
+#: Nominal integration steps per noise chunk of ``simulate_cells``: a chunk
+#: holds cells x max(substeps, NOISE_CHUNK) x d normals at most.
+NOISE_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class SdeConfig:
@@ -175,7 +179,7 @@ def simulate_cells(
     streams: Sequence[NormalStream],
     observable: Callable[[np.ndarray], np.ndarray] | None = None,
     substeps: int = 1,
-    chunk_size: int = 8192,
+    chunk_size: int = NOISE_CHUNK,
 ) -> np.ndarray:
     """Advance ``len(drifts)`` cells in lockstep.
 
@@ -255,7 +259,7 @@ def _locate_blowup(states, noise, grad_fn, drift_part, dt_eff, noise_scale,
     raise PropagationError("non-finite state in chunk", step_index=step0)
 
 
-def simulate(config: SdeConfig, chunk_size: int = 8192) -> Trajectory:
+def simulate(config: SdeConfig, chunk_size: int = NOISE_CHUNK) -> Trajectory:
     """Integrate one trajectory; identical bytes for identical config."""
     states = simulate_cells(
         config.potential,
@@ -272,7 +276,7 @@ def simulate(config: SdeConfig, chunk_size: int = 8192) -> Trajectory:
 
 
 def simulate_series(config: SdeConfig, observable: Callable[[np.ndarray], np.ndarray],
-                    chunk_size: int = 8192) -> np.ndarray:
+                    chunk_size: int = NOISE_CHUNK) -> np.ndarray:
     """Stream one trajectory through an observable without storing states."""
     series = simulate_cells(
         config.potential,

@@ -8,11 +8,11 @@ the asymptotic variance of a zero-mean observable f = sum c_n e^{inx} is
 
 (the value of 2 * integral of the stationary autocovariance), and the
 scaled cumulant generating function lambda(beta f) is the principal
-eigenvalue of L + beta f.  The module discretizes L with centered
-differences on an N-point periodic grid, extracts lambda(beta f) from the
-dense spectrum (power iteration on the exponential propagator above the
-dense-solve cutoff), and Legendre-transforms it into the rate function of
-the ergodic average.
+eigenvalue of L + beta f.  The module discretizes D Lap + C . grad with
+centered differences on a periodic grid (the circle, or the 2-torus with a
+drift field C), extracts lambda(beta f) as the Perron eigenvalue of the
+dense matrix with one ``np.linalg.eig`` call, and Legendre-transforms it
+into the rate function of the ergodic average.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .errors import DimensionError, DomainError, ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
 
-_DENSE_LIMIT = 512
+#: Step of the central differences that give lambda'(beta) and lambda''(beta).
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,34 @@ def fourier_sigma2(observable: FourierObservable, delta: float,
     return total
 
 
-def circle_operator(n: int, delta: float, diffusion: float) -> np.ndarray:
-    """Dense centered-difference discretization of D Lap + delta d/dx."""
+def periodic_generator(drift_samples, diffusion: float) -> np.ndarray:
+    """Dense centered-difference discretization of D Lap + C . grad on the
+    periodic grid of ``drift_samples``: shape (1, N) on the circle or
+    (2, N, N) on the 2-torus, with ``drift_samples[axis]`` the component of
+    C along that axis.  Nodes are numbered row-major."""
+    c = np.asarray(drift_samples, dtype=float)
+    dims, shape = c.ndim - 1, c.shape[1:]
+    if dims not in (1, 2) or c.shape[0] != dims or len(set(shape)) != 1:
+        raise DimensionError("drift samples must have shape (1, N) or (2, N, N)")
+    n = shape[0]
     if n < 8:
         raise ParameterError("grid size must be at least 8")
     h = TWO_PI / n
-    eye = np.eye(n)
-    up = np.roll(eye, 1, axis=1)     # row j picks psi_{j+1}
-    down = np.roll(eye, -1, axis=1)  # row j picks psi_{j-1}
-    lap = (up - 2.0 * eye + down) / h**2
-    grad = (up - down) / (2.0 * h)
-    return diffusion * lap + delta * grad
+    off, skew = diffusion * (1.0 / h**2), 1.0 / (2.0 * h)
+    idx = np.arange(n**dims).reshape(shape)
+    row = idx.ravel()
+    matrix = np.zeros((n**dims, n**dims))
+    matrix[row, row] = -2.0 * dims * off
+    for axis in range(dims):
+        field = c[axis].ravel() * skew
+        matrix[row, np.roll(idx, -1, axis=axis).ravel()] = off + field
+        matrix[row, np.roll(idx, 1, axis=axis).ravel()] = off - field
+    return matrix
+
+
+def circle_operator(n: int, delta: float, diffusion: float) -> np.ndarray:
+    """Dense centered-difference discretization of D Lap + delta d/dx."""
+    return periodic_generator(np.full((1, n), float(delta)), diffusion)
 
 
 def generator_spectrum(n: int, delta: float, diffusion: float) -> np.ndarray:
@@ -119,7 +137,17 @@ def discrete_mode_eigenvalue(n: int, mode: int, delta: float,
     )
 
 
-def _top_eigenpair_dense(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def _add_potential(matrix: np.ndarray, beta: float, f: np.ndarray) -> np.ndarray:
+    """``matrix + beta diag(f)``, formed in place."""
+    matrix[np.diag_indices(len(f))] += beta * f
+    return matrix
+
+
+def _perron(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Principal eigenpair of a dense tilted generator.
+
+    The eigenvalue of largest real part must be real, and its eigenvector,
+    rotated to the positive cone, strictly positive (Perron structure)."""
     eigvals, eigvecs = np.linalg.eig(matrix)
     top = int(np.argmax(eigvals.real))
     lam = eigvals[top]
@@ -129,52 +157,16 @@ def _top_eigenpair_dense(matrix: np.ndarray) -> tuple[float, np.ndarray]:
             f"top eigenvalue is not real ({lam:.6g}); no Perron eigenpair found"
         )
     vec = eigvecs[:, top]
-    return float(lam.real), vec
-
-
-def _top_eigenpair_power(matrix: np.ndarray, tau: float = 1.0,
-                         max_iter: int = 500, tol: float = 1e-11):
-    """Power iteration on the exponential propagator exp(tau M).
-
-    The propagator maps the positive cone to itself, so iterating it from a
-    positive vector converges to the Perron eigenpair with ratio
-    exp(-gap * tau) per step; the eigenvalue is log(growth)/tau."""
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    sparse_op = scipy.sparse.csr_matrix(tau * matrix)
-    n = matrix.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam_old = np.inf
-    hits = 0
-    for _ in range(max_iter):
-        w = scipy.sparse.linalg.expm_multiply(sparse_op, v)
-        growth = np.linalg.norm(w)
-        v = w / growth
-        lam = math.log(growth) / tau
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
-            hits += 1
-            if hits >= 3:
-                return float(lam), v
-        else:
-            hits = 0
-        lam_old = lam
-    raise SolverError(f"power iteration did not converge in {max_iter} iterations")
-
-
-def _assert_perron_vector(vec: np.ndarray) -> np.ndarray:
-    """Rotate the eigenvector to the positive cone and assert positivity."""
     w = vec / vec[int(np.argmax(np.abs(vec)))]
-    if np.iscomplexobj(w):
-        if np.max(np.abs(w.imag)) > 1e-8:
-            raise SolverError("top eigenvector has a non-trivial imaginary part")
-        w = w.real
+    if np.max(np.abs(w.imag)) > 1e-8:
+        raise SolverError("top eigenvector has a non-trivial imaginary part")
+    w = w.real
     if w.min() <= 0.0:
         raise SolverError(
             f"top eigenvector is not strictly positive (min/max = "
             f"{w.min() / w.max():.3e}); Perron structure violated"
         )
-    return w
+    return float(lam.real), w
 
 
 def principal_eigenvalue(f_samples: np.ndarray, beta: float, delta: float,
@@ -182,29 +174,22 @@ def principal_eigenvalue(f_samples: np.ndarray, beta: float, delta: float,
     """Principal (Feynman-Kac) eigenvalue of D Lap + delta d/dx + beta f.
 
     ``f_samples`` are the observable values on the N-point grid that also
-    fixes the discretization.  Dense eigensolve for N <= 512, power
-    iteration on the exponential propagator above.  The converged
-    eigenvector is checked to be strictly positive.
+    fixes the discretization.  The eigenvector, returned with
+    ``return_vector``, is normalized to max 1 and checked strictly positive.
     """
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1:
         raise DimensionError("f_samples must be a 1-d array of grid values")
-    matrix = circle_operator(len(f), delta, diffusion) + beta * np.diag(f)
-    if len(f) <= _DENSE_LIMIT:
-        lam, vec = _top_eigenpair_dense(matrix)
-    else:
-        lam, vec = _top_eigenpair_power(matrix)
-    positive = _assert_perron_vector(vec)
-    if return_vector:
-        return lam, positive
-    return lam
+    lam, vec = _perron(_add_potential(circle_operator(len(f), delta, diffusion), beta, f))
+    return (lam, vec) if return_vector else lam
 
 
 def torus_operator_2d(f_samples: np.ndarray, beta: float, drift_samples,
                       diffusion: float) -> np.ndarray:
     """Dense discretization of D Lap + C . grad + beta f on the 2-torus.
 
-    ``drift_samples`` has shape (2, N, N).  Dense solves only; N <= 64."""
+    ``drift_samples`` has shape (2, N, N), or is None for C = 0.  Dense
+    solves only; N <= 64."""
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise DimensionError("2-d observable samples must be square")
@@ -212,61 +197,41 @@ def torus_operator_2d(f_samples: np.ndarray, beta: float, drift_samples,
     if n > 64:
         raise ParameterError("dense 2-d solves are limited to N <= 64 per axis")
     c = np.zeros((2, n, n)) if drift_samples is None else np.asarray(drift_samples)
-    h = TWO_PI / n
-    size = n * n
-    idx = np.arange(size).reshape(n, n)
-    matrix = np.zeros((size, size))
-    row = idx.ravel()
-    for axis, sign_field in ((0, c[0]), (1, c[1])):
-        plus = np.roll(idx, -1, axis=axis).ravel()
-        minus = np.roll(idx, 1, axis=axis).ravel()
-        matrix[row, plus] += diffusion / h**2 + sign_field.ravel() / (2.0 * h)
-        matrix[row, minus] += diffusion / h**2 - sign_field.ravel() / (2.0 * h)
-        matrix[row, row] -= 2.0 * diffusion / h**2
-    matrix[row, row] += beta * f.ravel()
-    return matrix
+    if c.shape != (2, n, n):
+        raise DimensionError(f"drift samples must have shape (2, {n}, {n})")
+    return _add_potential(periodic_generator(c, diffusion), beta, f.ravel())
 
 
 def principal_eigenvalue_2d(f_samples, beta: float, drift_samples,
                             diffusion: float) -> float:
     """Principal eigenvalue of the 2-torus generator (dense, N <= 64)."""
-    matrix = torus_operator_2d(f_samples, beta, drift_samples, diffusion)
-    lam, vec = _top_eigenpair_dense(matrix)
-    _assert_perron_vector(vec)
-    return lam
+    return _perron(torus_operator_2d(f_samples, beta, drift_samples, diffusion))[0]
 
 
 class ScaledCgf:
-    """Cached beta -> lambda(beta f) map for one (f, delta, D, N) context."""
+    """Cached beta -> lambda(beta f) map for one (f, delta, D, N) context;
+    derivatives are central differences with step ``FD_STEP``."""
 
-    def __init__(self, f_samples, delta: float, diffusion: float,
-                 fd_step: float = 1e-4):
+    def __init__(self, f_samples, delta: float, diffusion: float):
         self.f = np.asarray(f_samples, dtype=float)
         self.delta = float(delta)
         self.diffusion = float(diffusion)
-        self.fd_step = float(fd_step)
         self._base = circle_operator(len(self.f), self.delta, self.diffusion)
-        self._diag = np.diag(self.f)
         self._cache: dict[float, float] = {}
 
     def value(self, beta: float) -> float:
         beta = float(beta)
         if beta not in self._cache:
-            matrix = self._base + beta * self._diag
-            if len(self.f) <= _DENSE_LIMIT:
-                lam, vec = _top_eigenpair_dense(matrix)
-            else:
-                lam, vec = _top_eigenpair_power(matrix)
-            _assert_perron_vector(vec)
-            self._cache[beta] = lam
+            matrix = _add_potential(self._base.copy(), beta, self.f)
+            self._cache[beta] = _perron(matrix)[0]
         return self._cache[beta]
 
     def derivative(self, beta: float) -> float:
-        h = self.fd_step
+        h = FD_STEP
         return (self.value(beta + h) - self.value(beta - h)) / (2.0 * h)
 
     def second_derivative(self, beta: float) -> float:
-        h = self.fd_step
+        h = FD_STEP
         return (
             self.value(beta + h) - 2.0 * self.value(beta) + self.value(beta - h)
         ) / h**2
@@ -323,12 +288,14 @@ class ObservableRateCurve:
 def observable_rate(f_samples, delta: float, diffusion: float,
                     ell_grid) -> ObservableRateCurve:
     """Legendre transform sup_beta {beta ell - lambda(beta f)} on a grid of
-    levels, each strictly inside (min f, max f).
+    distinct levels, each strictly inside (min f, max f).
 
     Convexity of the returned curve is asserted (second divided differences
     >= -1e-8)."""
     f = np.asarray(f_samples, dtype=float)
     ells = np.asarray(ell_grid, dtype=float)
+    if len(np.unique(ells)) != len(ells):
+        raise ParameterError("ell_grid levels must be distinct")
     fmin, fmax = float(f.min()), float(f.max())
     for ell in ells:
         if not fmin < ell < fmax:

@@ -215,6 +215,16 @@ def test_spectral_cli(tmp_path):
     assert len(curve_lines) == 1 + 4  # 2 deltas x 2 levels
 
 
+def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "rate_curvature", lambda f, delta, diffusion: (0.5, 1.0))
+    cfg = write_config(tmp_path, {"deltas": [1]})
+    out = tmp_path / "spec"
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"deltas": [1.0], "diffusion": 1.0, "grid": 256,
+                                  "ell_grid": []}
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: 0 success, 2 config error, 3 numeric failure
 
@@ -279,6 +289,10 @@ BAD_INPUTS = {
     "fractional_seed": ("estimate", ou_config(seeds=[1.5]), []),
     "one_batch": ("estimate", ou_config(batches=1), []),
     "ell_outside_range": ("spectral", spectral_config(ell_grid=[0.5, 2.0]), []),
+    "ell_repeated": ("spectral", spectral_config(ell_grid=[0.3, 0.3, -0.2]), []),
+    "series_too_long": ("estimate", ou_config(horizon=1e12), []),
+    "noise_chunk_too_large": (
+        "estimate", ou_config(drift={"kind": "rotational", "deltas": [1e5]}), []),
 }
 
 

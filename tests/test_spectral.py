@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from irrlangevin.errors import DomainError, ParameterError
 from irrlangevin.spectral import (
@@ -9,6 +10,7 @@ from irrlangevin.spectral import (
     fourier_sigma2,
     generator_spectrum,
     observable_rate,
+    periodic_generator,
     principal_eigenvalue,
     principal_eigenvalue_2d,
     rate_curvature,
@@ -151,6 +153,24 @@ def test_principal_eigenvalue_2d():
         principal_eigenvalue_2d(np.ones((80, 80)), 0.1, None, 1.0)
 
 
+def test_2d_constant_drift_spectrum_matches_mode_sums():
+    # constant drift (a, b): the eigenvalues are the pair sums of the 1-d
+    # mode eigenvalues along each axis
+    n, a, b, D = 10, 1.3, -0.7, 0.8
+    drift = np.stack([np.full((n, n), a), np.full((n, n), b)])
+    eig = np.linalg.eigvals(periodic_generator(drift, D))
+    modes = range(-n // 2, n // 2)
+    exact = np.array([discrete_mode_eigenvalue(n, j, a, D)
+                      + discrete_mode_eigenvalue(n, k, b, D)
+                      for j in modes for k in modes])
+    # match as multisets, nearest neighbours (sorting is fragile on near-ties)
+    rows, cols = linear_sum_assignment(np.abs(eig[:, None] - exact[None, :]))
+    assert np.max(np.abs(eig[rows] - exact[cols])) <= 1e-10
+    # f = 1 only shifts the spectrum: lambda(beta) = beta
+    assert principal_eigenvalue_2d(np.ones((n, n)), 0.7, drift, D) == \
+        pytest.approx(0.7, abs=1e-10)
+
+
 def test_scgf_convex_in_beta():
     scgf = ScaledCgf(cos_samples(), 2.0, 1.0)
     betas = np.linspace(-2.0, 2.0, 21)
@@ -190,6 +210,11 @@ def test_rate_rejects_level_outside_range():
         observable_rate(cos_samples(), 0.0, 1.0, [1.5])
     with pytest.raises(DomainError):
         observable_rate(cos_samples(), 0.0, 1.0, [-1.0])  # boundary excluded
+
+
+def test_rate_rejects_repeated_levels():
+    with pytest.raises(ParameterError):
+        observable_rate(cos_samples(), 0.0, 1.0, [0.3, 0.3, -0.2])
 
 
 def test_curvature_implies_sigma2():
