@@ -277,6 +277,13 @@ class ExperimentConfig:
         return SdeConfig(potential, drift, self.diffusion, self.dt, self.horizon,
                          self.initial, seed, substeps=substeps)
 
+    def substeps_by_delta(self) -> list[dict]:
+        """The integration substeps of each delta group, as ``sde`` resolves
+        them for the run; manifest.json records them."""
+        potential = self.build_potential()
+        return [{"delta": delta, "substeps": self.sde(potential, delta).substeps}
+                for delta in self.deltas]
+
     def to_dict(self) -> dict:
         """The config in document form, as echoed in manifest.json."""
         doc = asdict(self)
@@ -469,6 +476,7 @@ class TableComparison:
     table_id: int
     scale: float
     cells: dict
+    config: ExperimentConfig
 
     def ratio(self, delta: float, t: float) -> float:
         return self.cells[(delta, t)].measured_ratio
@@ -519,7 +527,7 @@ def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
             ok = meas_ratio >= ref_ratio / 3.0
             cells[(delta, t)] = CellComparison(reference, measured, ref_ratio,
                                                meas_ratio, ok)
-    return TableComparison(table_id, scale, cells), rows
+    return TableComparison(table_id, scale, cells, config), rows
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +573,13 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     config = _experiment_config(args)
     out = _out_dir(args)
-    trajectory = simulate(config.sde(config.build_potential(), config.deltas[0],
-                                     seed=config.seeds[0]))
+    delta = config.deltas[0]
+    trajectory = simulate(config.sde(config.build_potential(), delta, seed=config.seeds[0]))
     path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
     save_trajectory(trajectory, path)
+    substeps = [{"delta": delta, "substeps": trajectory.config.substeps}]
     write_manifest(out / "manifest.json", config.to_dict(),
-                   {"trajectory": str(path)})
+                   {"trajectory": str(path), "substeps": substeps})
     print(f"wrote {path} ({len(trajectory)} states)")
     return 0
 
@@ -588,7 +597,7 @@ def cmd_estimate(args) -> int:
         rows = sorted(rows, key=lambda r: (r["delta"], r["seed"], r["t"]))
     write_csv(out / name, columns, rows)
     write_manifest(out / "manifest.json", config.to_dict(),
-                   {"threads": args.threads})
+                   {"threads": args.threads, "substeps": config.substeps_by_delta()})
     print(f"wrote {out / name} ({len(rows)} rows)")
     return 0
 
@@ -605,7 +614,8 @@ def cmd_reproduce_table(args) -> int:
     write_csv(out / f"table{args.table}_comparison.csv", columns, table_rows)
     write_manifest(out / "manifest.json",
                    {"table": args.table, "scale": args.scale, "seeds": list(seeds)},
-                   {"threads": args.threads})
+                   {"threads": args.threads,
+                    "substeps": comparison.config.substeps_by_delta()})
     status = "PASS" if comparison.all_pass else "FAIL"
     print(f"table {args.table} ratio checks: {status}")
     return 0

@@ -8,7 +8,9 @@ shared state.
 
 The batch driver ``simulate_cells`` advances many (drift strength, stream)
 cells of a shared potential in lockstep, which is how table/sweep runs are
-executed; ``simulate`` is the single-trajectory wrapper around it.
+executed; ``simulate`` is the single-trajectory wrapper around it.  One
+update rule, ``_em_path``, serves every caller: the lockstep chunk loop, the
+replay that locates a blow-up, and the single-step ``em_step``.
 """
 
 from __future__ import annotations
@@ -54,14 +56,9 @@ class SdeConfig:
     substeps: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ParameterError("dt must be positive")
+        _check_step(self.diffusion, self.dt, self.substeps)
         if self.horizon < self.dt:
             raise ParameterError("horizon must be at least one step (dt <= horizon)")
-        if self.diffusion < 0.0:
-            raise ParameterError("diffusion must be nonnegative (0 means ODE)")
-        if self.substeps < 1:
-            raise ParameterError("substeps must be >= 1")
         if len(self.initial) != self.potential.dimension:
             raise DimensionError(
                 f"initial state has dimension {len(self.initial)}, potential "
@@ -109,13 +106,38 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.arange(len(self)) * self.config.dt
 
-    def observable_series(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return fn(self.states)
+
+def _check_step(diffusion: float, dt: float, substeps: int) -> None:
+    """Reject a step size, diffusion or substep count the update rule cannot use."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(diffusion) and diffusion >= 0.0):
+        raise ParameterError(
+            f"diffusion must be finite and nonnegative (0 means ODE), got {diffusion}")
+    if substeps < 1:
+        raise ParameterError("substeps must be >= 1")
+
+
+def _em_path(states, grad_fn, drift_part, diffusion: float, dt: float, substeps: int,
+             noise):
+    """The Euler-Maruyama rule Z <- Z + (C(Z) - grad U(Z)) h + sqrt(2 D h) w
+    at h = dt / substeps, one update per row ``noise[:, i]`` of the
+    (n_cells, k * substeps, d) noise; yields the (n_cells, d) states on the
+    recording grid, i.e. after every ``substeps`` updates."""
+    h = dt / substeps
+    scale = math.sqrt(2.0 * diffusion * h)
+    for j in range(noise.shape[1] // substeps):
+        for s in range(substeps):
+            grads = grad_fn(states)
+            states = states + (drift_part(states, grads) - grads) * h \
+                + scale * noise[:, j * substeps + s, :]
+        yield states
 
 
 def em_step(state, potential: PotentialField, drift, diffusion: float, dt: float,
             noise) -> np.ndarray:
     """One Euler-Maruyama update: state + b dt + sqrt(2 D dt) * noise."""
+    _check_step(diffusion, dt, 1)
     s = np.asarray(state, dtype=float)
     w = np.asarray(noise, dtype=float)
     if w.shape != s.shape:
@@ -123,10 +145,8 @@ def em_step(state, potential: PotentialField, drift, diffusion: float, dt: float
     if not np.all(np.isfinite(s)) or not np.all(np.isfinite(w)):
         bad = np.argwhere(~(np.isfinite(s) & np.isfinite(w)))
         raise PropagationError(f"non-finite input at position {bad[0].tolist()}")
-    b = -potential.grad(s)
-    if drift is not None:
-        b = b + drift.eval(s)
-    out = s + b * dt + math.sqrt(2.0 * diffusion * dt) * w
+    out = next(_em_path(s[None], potential.grad, _drift_adder(potential, [drift]),
+                        diffusion, dt, 1, w[None, None]))[0]
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
         raise PropagationError(f"state became non-finite at position {bad[0].tolist()}")
@@ -196,21 +216,17 @@ def simulate_cells(
     n_cells = len(drifts)
     if len(streams) != n_cells:
         raise ParameterError("need one stream per cell")
-    if substeps < 1:
-        raise ParameterError("substeps must be >= 1")
+    _check_step(diffusion, dt, substeps)
     d = potential.dimension
-    states = np.array(initials, dtype=float).reshape(n_cells, d)
-    grad_fn = potential.grad_fn
-    drift_part = _drift_adder(potential, drifts)
-    dt_eff = dt / substeps
-    noise_scale = math.sqrt(2.0 * diffusion * dt_eff)
-
-    if observable is None:
-        out = np.empty((n_cells, n_steps + 1, d))
-        out[:, 0, :] = states
-    else:
-        out = np.empty((n_cells, n_steps + 1))
-        out[:, 0] = observable(states)
+    states = np.array(initials, dtype=float)
+    if states.size != n_cells * d:
+        raise DimensionError(f"need {n_cells} initial states of dimension {d}, "
+                             f"got an array of shape {states.shape}")
+    states = states.reshape(n_cells, d)
+    rule = (potential.grad_fn, _drift_adder(potential, drifts), diffusion, dt, substeps)
+    record = (lambda z: z) if observable is None else observable
+    out = np.empty((n_cells, n_steps + 1) + ((d,) if observable is None else ()))
+    out[:, 0] = record(states)
 
     # keep noise chunks near the nominal size regardless of substeps
     record_chunk = max(1, chunk_size // substeps)
@@ -223,74 +239,38 @@ def simulate_cells(
             noise = np.empty((n_cells, m * substeps, d))
             for i, stream in enumerate(streams):
                 noise[i] = stream.normals(m * substeps * d).reshape(m * substeps, d)
-            snapshot = states.copy()
-            for j in range(m):
-                for s in range(substeps):
-                    grads = grad_fn(states)
-                    states = states + (drift_part(states, grads) - grads) * dt_eff \
-                        + noise_scale * noise[:, j * substeps + s, :]
-                if observable is None:
-                    out[:, step + j + 1, :] = states
-                else:
-                    out[:, step + j + 1] = observable(states)
+            start = states
+            for j, states in enumerate(_em_path(start, *rule, noise), start=step + 1):
+                out[:, j] = record(states)
             if not np.all(np.isfinite(states)):
-                _locate_blowup(snapshot, noise, grad_fn, drift_part, dt_eff,
-                               noise_scale, step, substeps)
+                # a non-finite coordinate stays non-finite under the update,
+                # so the first non-finite recorded state marks the blow-up
+                j = next(j for j, z in enumerate(_em_path(start, *rule, noise), step + 1)
+                         if not np.all(np.isfinite(z)))
+                raise PropagationError(
+                    f"trajectory became non-finite at step {j} (t = {j * dt:g}); dt "
+                    f"is likely too large for the drift stiffness", step_index=j)
             step += m
     return out
 
 
-def _locate_blowup(states, noise, grad_fn, drift_part, dt_eff, noise_scale,
-                   step0, substeps):
-    """Replay a chunk step by step to report the first non-finite step."""
-    total = noise.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(total):
-            grads = grad_fn(states)
-            states = states + (drift_part(states, grads) - grads) * dt_eff \
-                + noise_scale * noise[:, j, :]
-            if not np.all(np.isfinite(states)):
-                idx = step0 + j // substeps + 1
-                raise PropagationError(
-                    f"trajectory became non-finite at step {idx} "
-                    f"(t = {idx * dt_eff * substeps:g}); dt is likely too "
-                    f"large for the drift stiffness", step_index=idx,
-                )
-    raise PropagationError("non-finite state in chunk", step_index=step0)
+def _simulate_one(config: SdeConfig, observable, chunk_size: int) -> np.ndarray:
+    """The one-cell ``simulate_cells`` call behind ``simulate`` and ``simulate_series``."""
+    return simulate_cells(
+        config.potential, [config.drift], config.diffusion, config.dt, config.n_steps,
+        [config.initial], [NormalStream(config.seed, config.stream_id)],
+        observable=observable, substeps=config.substeps, chunk_size=chunk_size)[0]
 
 
 def simulate(config: SdeConfig, chunk_size: int = NOISE_CHUNK) -> Trajectory:
     """Integrate one trajectory; identical bytes for identical config."""
-    states = simulate_cells(
-        config.potential,
-        [config.drift],
-        config.diffusion,
-        config.dt,
-        config.n_steps,
-        [config.initial],
-        [NormalStream(config.seed, config.stream_id)],
-        substeps=config.substeps,
-        chunk_size=chunk_size,
-    )
-    return Trajectory(states=states[0], config=config)
+    return Trajectory(states=_simulate_one(config, None, chunk_size), config=config)
 
 
 def simulate_series(config: SdeConfig, observable: Callable[[np.ndarray], np.ndarray],
                     chunk_size: int = NOISE_CHUNK) -> np.ndarray:
     """Stream one trajectory through an observable without storing states."""
-    series = simulate_cells(
-        config.potential,
-        [config.drift],
-        config.diffusion,
-        config.dt,
-        config.n_steps,
-        [config.initial],
-        [NormalStream(config.seed, config.stream_id)],
-        observable=observable,
-        substeps=config.substeps,
-        chunk_size=chunk_size,
-    )
-    return series[0]
+    return _simulate_one(config, observable, chunk_size)
 
 
 def stable_substeps(delta: float, dt: float) -> int:

@@ -15,6 +15,7 @@ from irrlangevin.cli import (
     run_experiment,
 )
 from irrlangevin.errors import ConfigError
+from irrlangevin.sampler import load_trajectory
 
 
 def ou_config(**overrides):
@@ -223,6 +224,38 @@ def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == {"deltas": [1.0], "diffusion": 1.0, "grid": 256,
                                   "ell_grid": []}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["simulate"], [(100.0, 40)]),
+    (["estimate"], [(0.0, 1), (100.0, 40)]),
+    (["sweep"], [(0.0, 1), (100.0, 40)]),
+    (["reproduce-table", "--table", "1", "--scale", "0.02"], [(0.0, 1), (10.0, 1),
+                                                               (100.0, 40)]),
+])
+def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, argv,
+                                                      expected):
+    ran = []
+
+    def fake_simulate_cells(potential, drifts, diffusion, dt, n_steps, *args, substeps,
+                            **kwargs):
+        ran.append((0.0 if drifts[0] is None else drifts[0].delta, substeps))
+        return np.random.default_rng(0).standard_normal((len(drifts), n_steps + 1))
+
+    monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells)
+    deltas = [100.0, 0.0] if argv[0] == "simulate" else [0.0, 100.0]
+    cfg = write_config(tmp_path, ou_config(drift={"deltas": deltas}, horizon=0.05,
+                                           burn_in=0.01, seeds=[1]))
+    out = tmp_path / "out"
+    if argv[0] != "reproduce-table":
+        argv = argv + ["--config", cfg]
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["substeps"] == [{"delta": d, "substeps": n} for d, n in expected]
+    if argv[0] == "simulate":
+        assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 40
+    else:
+        assert ran == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,63 @@ def test_blowup_reports_step_index():
         simulate(cfg)
     assert err.value.step_index is not None
     assert err.value.step_index > 0
+
+
+@pytest.mark.parametrize("chunk_size", [7, 100, 8192])
+@pytest.mark.parametrize("dt, substeps, step_index", [(3.0, 1, 1024), (12.0, 4, 256)])
+def test_blowup_step_index_is_first_non_finite_recorded_step(dt, substeps, step_index,
+                                                             chunk_size):
+    # x_n = (-2)^n per update of size 3 leaves float64 at update 1024, i.e.
+    # recorded step 1024 / substeps, wherever the chunk boundaries fall
+    cfg = quad_config(diffusion=0.0, dt=dt, horizon=3600.0, substeps=substeps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError) as err:
+            simulate(cfg, chunk_size=chunk_size)
+    assert err.value.step_index == step_index
+
+
+@pytest.mark.parametrize("delta", [None, 3.7])
+def test_em_step_is_the_loop_update(delta):
+    bimodal = get_potential("bimodal1")
+    drift = None if delta is None else make_rotational_drift(J2, bimodal, delta)
+    x0 = np.array([0.3, -0.8])
+    one = em_step(x0, bimodal, drift, 0.1, 1e-2, NormalStream(5, 9).normals(2))
+    cells = simulate_cells(bimodal, [drift], 0.1, 1e-2, 1, [x0], [NormalStream(5, 9)])
+    np.testing.assert_array_equal(one, cells[0, 1])
+
+
+class _NoNormals(NormalStream):
+    def normals(self, n):
+        raise AssertionError("normals drawn before the inputs were checked")
+
+
+@pytest.mark.parametrize("entry", ["simulate_cells", "em_step", "SdeConfig"])
+@pytest.mark.parametrize("bad", [
+    pytest.param({"diffusion": -0.1}, id="negative_diffusion"),
+    pytest.param({"diffusion": math.nan}, id="nan_diffusion"),
+    pytest.param({"diffusion": math.inf}, id="inf_diffusion"),
+    pytest.param({"dt": -1e-3}, id="negative_dt"),
+    pytest.param({"dt": 0.0}, id="zero_dt"),
+    pytest.param({"dt": math.nan}, id="nan_dt"),
+    pytest.param({"dt": math.inf}, id="inf_dt"),
+])
+def test_bad_dt_or_diffusion_is_parameter_error(entry, bad):
+    kw = {"diffusion": 0.1, "dt": 1e-3, **bad}
+    with pytest.raises(ParameterError):
+        if entry == "simulate_cells":
+            simulate_cells(QUAD, [None], kw["diffusion"], kw["dt"], 10, [(1.0, 1.0)],
+                           [_NoNormals(1)])
+        elif entry == "em_step":
+            em_step([1.0, 1.0], QUAD, None, kw["diffusion"], kw["dt"], [0.0, 0.0])
+        else:
+            quad_config(**kw)
+
+
+def test_wrong_initial_count_is_dimension_error():
+    with pytest.raises(DimensionError):
+        simulate_cells(QUAD, [None, None], 0.1, 1e-3, 10, [(1.0, 1.0)],
+                       [_NoNormals(1), _NoNormals(2)])
 
 
 def test_invalid_configs_rejected():
