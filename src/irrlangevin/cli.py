@@ -631,6 +631,8 @@ def cmd_ratefn(args) -> int:
         "diffusion": report.diffusion, "grid": list(report.grid_shape),
         "gauge_residual": report.gauge_residual,
         "gauge_residual_rel": report.gauge_residual_rel,
+        "gauge_iterations": report.gauge_iterations,
+        "quadratic_residual": report.quadratic_residual,
         "lemma_value": report.lemma_value, "lemma_mismatch": report.lemma_mismatch,
     }
     (out / "rate_report.json").write_text(

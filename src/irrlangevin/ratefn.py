@@ -9,10 +9,14 @@ Conventions
   the uniform density.
 * Gradients/divergences are true spatial derivatives, evaluated by Fourier
   collocation (exact for band-limited fields, super-algebraically accurate
-  for smooth ones).  Quadrature is the plain grid mean, which is spectrally
-  accurate on the torus and makes discrete integration by parts exact, so
-  the continuum identities between the different rate representations hold
-  at solver precision on the grid.
+  for smooth ones) with real transforms (``rfftn``/``irfftn``).  One table
+  of derivative symbols i k, Nyquist mode zeroed, serves the gradient, the
+  divergence (summed in Fourier space, then one inverse transform) and the
+  gauge solver's preconditioner.
+* Quadrature is the plain grid mean, which is spectrally accurate on the
+  torus and makes discrete integration by parts exact, so the continuum
+  identities between the different rate representations hold at solver
+  precision on the grid.
 
 For the generator D*Lap + b.grad, the rate of a measure mu = p dx is
 
@@ -40,44 +44,47 @@ from .potentials import PotentialField
 
 TWO_PI = 2.0 * math.pi
 
+#: Relative tolerance of the gauge CG solve (see ``solve_gauge_field``).
+GAUGE_RTOL = 1e-11
+
 
 # ---------------------------------------------------------------------------
 # spectral operators on the 2*pi-periodic grid
 
 
-def _wavenumber(n: int) -> np.ndarray:
-    """Integer wavenumbers for an n-point grid, Nyquist mode zeroed so that
-    first derivatives of real fields stay real and antisymmetric."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    return k
+def _derivative_symbols(shape: tuple) -> list:
+    """Fourier symbols i k_a of d/dx_a, one per axis, for real fields on a
+    grid of ``shape``, in ``rfftn`` layout (the last axis keeps its
+    n // 2 + 1 non-negative modes) and broadcastable against an ``rfftn``
+    spectrum.  The Nyquist mode of an even axis is zeroed so that first
+    derivatives of real fields stay real and antisymmetric."""
+    last = len(shape) - 1
+    symbols = []
+    for axis, n in enumerate(shape):
+        k = (np.fft.rfftfreq if axis == last else np.fft.fftfreq)(n, 1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        symbols.append(1j * k.reshape([-1 if a == axis else 1 for a in range(last + 1)]))
+    return symbols
+
+
+def _inverse(spectrum: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real grid field of ``shape`` from its ``rfftn`` spectrum."""
+    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(len(shape))))
 
 
 def spectral_gradient(values: np.ndarray) -> np.ndarray:
     """Gradient of a scalar grid field; returns shape (d, *grid)."""
     v = np.asarray(values, dtype=float)
-    vhat = np.fft.fftn(v)
-    out = np.empty((v.ndim,) + v.shape)
-    for axis in range(v.ndim):
-        k = _wavenumber(v.shape[axis])
-        shape = [1] * v.ndim
-        shape[axis] = -1
-        out[axis] = np.fft.ifftn(1j * k.reshape(shape) * vhat).real
-    return out
+    vhat = np.fft.rfftn(v)
+    return np.stack([_inverse(ik * vhat, v.shape) for ik in _derivative_symbols(v.shape)])
 
 
 def spectral_divergence(flux: np.ndarray) -> np.ndarray:
     """Divergence of a vector grid field of shape (d, *grid)."""
-    d = flux.shape[0]
-    out = np.zeros(flux.shape[1:])
-    for axis in range(d):
-        k = _wavenumber(flux.shape[1 + axis])
-        shape = [1] * d
-        shape[axis] = -1
-        fhat = np.fft.fftn(flux[axis])
-        out += np.fft.ifftn(1j * k.reshape(shape) * fhat).real
-    return out
+    shape = flux.shape[1:]
+    return _inverse(sum(ik * np.fft.rfftn(f)
+                        for ik, f in zip(_derivative_symbols(shape), flux)), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +120,13 @@ class GridDensity:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_values(cls, values, normalize: bool = True) -> "GridDensity":
+    def from_values(cls, values) -> "GridDensity":
+        """Density from finite, strictly positive node values, rescaled to
+        grid mean 1."""
         v = np.asarray(values, dtype=float)
-        if normalize:
-            if not np.all(np.isfinite(v)) or v.min() <= 0.0:
-                raise ParameterError("density must be finite and strictly positive")
-            v = v / v.mean()
-        return cls(v)
+        if not np.all(np.isfinite(v)) or v.min() <= 0.0:
+            raise ParameterError("density must be finite and strictly positive")
+        return cls(v / v.mean())
 
     @classmethod
     def from_function(cls, fn, size: int, dims: int = 1) -> "GridDensity":
@@ -197,15 +204,16 @@ class GaugeField:
     history: tuple = field(default_factory=tuple, repr=False)
 
 
-def solve_gauge_field(p: GridDensity, b: np.ndarray, rtol: float = 1e-11,
-                      max_iter: int | None = None) -> GaugeField:
+def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
     """Solve div[p (b + grad psi)] = 0 for the mean-zero gauge field psi.
 
     The drift ``b`` is sampled on the grid with shape (d, *grid).  The
     operator psi -> -div(p grad psi) is symmetric positive semidefinite
     with a one-dimensional constant null space; the system is solved by
     conjugate gradients preconditioned with a constant-coefficient inverse
-    Laplacian, on the mean-zero subspace.
+    Laplacian, on the mean-zero subspace, until max |residual| <=
+    GAUGE_RTOL * max |p b|.  More than 10 * (grid nodes) + 200 iterations
+    is a ``SolverError``.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (p.dims,) + p.values.shape:
@@ -221,28 +229,20 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray, rtol: float = 1e-11,
 
     rhs = spectral_divergence(pb)
     rhs -= rhs.mean()
-    tol = rtol * scale
+    tol = GAUGE_RTOL * scale
+    max_iter = 10 * pv.size + 200
 
     # constant-coefficient preconditioner: (p_hat * |k|^2)^-1 in Fourier space
-    p_hat = float(np.exp(np.mean(np.log(pv))))
-    ksq = np.zeros(pv.shape)
-    for axis in range(pv.ndim):
-        k = _wavenumber(pv.shape[axis])
-        shape = [1] * pv.ndim
-        shape[axis] = -1
-        ksq = ksq + (k.reshape(shape)) ** 2
-    ksq_flat = ksq.copy()
-    ksq_flat[ksq_flat == 0.0] = 1.0
+    ksq = -sum(ik * ik for ik in _derivative_symbols(pv.shape)).real
+    ksq[ksq == 0.0] = 1.0
+    p_ksq = float(np.exp(np.mean(np.log(pv)))) * ksq
 
     def precondition(r):
-        z = np.fft.ifftn(np.fft.fftn(r) / (p_hat * ksq_flat)).real
+        z = _inverse(np.fft.rfftn(r) / p_ksq, pv.shape)
         return z - z.mean()
 
     def apply_operator(psi):
         return -spectral_divergence(pv * spectral_gradient(psi))
-
-    if max_iter is None:
-        max_iter = 10 * pv.size + 200
 
     x = zeros.copy()
     r = rhs.copy()
@@ -323,61 +323,65 @@ def _grad_potential_on_grid(potential: PotentialField, p: GridDensity) -> np.nda
     return np.moveaxis(potential.grad(p.points()), -1, 0)
 
 
+def _energy(p: GridDensity, g: np.ndarray, diffusion: float) -> float:
+    """(1/(4D)) int |g|^2 dmu for a vector grid field g of shape (d, *grid)."""
+    return p.integrate(np.sum(g**2, axis=0)) / (4.0 * diffusion)
+
+
+def _gauge_energy(p: GridDensity, b: np.ndarray, diffusion: float):
+    """The gauge field psi of the drift samples b, grad psi, and its
+    energy (1/(4D)) int |grad psi|^2 dmu."""
+    gauge = solve_gauge_field(p, b)
+    grad = spectral_gradient(gauge.values)
+    return gauge, grad, _energy(p, grad, diffusion)
+
+
 def rate_reversible(p: GridDensity, potential: PotentialField,
                     diffusion: float) -> float:
     """Explicit reversible rate (1/(4D)) int |D grad p/p + grad U|^2 dmu."""
     if diffusion <= 0:
         raise ParameterError("diffusion must be positive")
     gu = _grad_potential_on_grid(potential, p)
-    gp = spectral_gradient(p.values)
-    integrand = np.sum((diffusion * gp / p.values + gu) ** 2, axis=0)
-    return p.integrate(integrand) / (4.0 * diffusion)
+    return _energy(p, diffusion * spectral_gradient(p.values) / p.values + gu, diffusion)
 
 
 def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
-                      diffusion: float, compute_quadratic: bool = False,
-                      rtol: float = 1e-11,
-                      invariance_check: bool = True) -> RateReport:
+                      diffusion: float, compute_quadratic: bool = False) -> RateReport:
     """Rate with irreversible drift C: I_C = I_0 + J_C.
 
     Solves the gauge equation for b = -grad U + C, takes J_C from the
     square-form increment (1/(4D)) int |grad psi_C - grad U|^2 dmu, and
     cross-computes the total rate through the independent three-term
-    decomposition, reporting the mismatch.
+    decomposition, reporting the mismatch.  Warns when C breaks the
+    invariance condition div C = 2 C . grad U on a sample of the nodes.
     """
     if diffusion <= 0:
         raise ParameterError("diffusion must be positive")
     gu = _grad_potential_on_grid(potential, p)
     c = field_on_grid(drift, p)
-    if invariance_check:
-        pts = p.points().reshape(-1, p.dims)
-        sample = pts[:: max(1, len(pts) // 2048)]
-        defect = check_invariance(drift, potential, sample)
-        if defect > 1e-6 * (1.0 + float(np.max(np.abs(c)))):
-            warnings.warn(
-                f"drift field violates div C = 2 C . grad U (defect {defect:.3e}); "
-                "the rate decomposition assumes an invariant-measure-preserving C",
-                stacklevel=2,
-            )
+    pts = p.points().reshape(-1, p.dims)
+    defect = check_invariance(drift, potential, pts[:: max(1, len(pts) // 2048)])
+    if defect > 1e-6 * (1.0 + float(np.max(np.abs(c)))):
+        warnings.warn(
+            f"drift field violates div C = 2 C . grad U (defect {defect:.3e}); "
+            "the rate decomposition assumes an invariant-measure-preserving C",
+            stacklevel=2,
+        )
     b = -gu + c
-    gauge = solve_gauge_field(p, b, rtol=rtol)
-    gpsi = spectral_gradient(gauge.values)
-
-    i0 = rate_reversible(p, potential, diffusion)
-    j_c = p.integrate(np.sum((gpsi - gu) ** 2, axis=0)) / (4.0 * diffusion)
-    i_c = i0 + j_c
+    gauge, gpsi, term_gauge = _gauge_energy(p, b, diffusion)
 
     gp = spectral_gradient(p.values)
+    i0 = _energy(p, diffusion * gp / p.values + gu, diffusion)
+    j_c = _energy(p, gpsi - gu, diffusion)
+    i_c = i0 + j_c
+
     term_fisher = (diffusion / 4.0) * p.integrate(np.sum(gp**2, axis=0) / p.values**2)
-    term_gauge = p.integrate(np.sum(gpsi**2, axis=0)) / (4.0 * diffusion)
     term_drift = -0.5 * float(np.mean(np.sum(b * gp, axis=0)))
     lemma_value = term_fisher + term_gauge + term_drift
 
-    k = None
-    quad_residual = None
+    k = quad = None
     if compute_quadratic:
-        k, quad_gauge = _quadratic_coefficient_with_gauge(p, drift, diffusion, rtol)
-        quad_residual = quad_gauge.residual_rel
+        quad, _, k = _gauge_energy(p, field_on_grid(drift.base_eval, p), diffusion)
 
     return RateReport(
         i0=i0,
@@ -391,21 +395,11 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
         lemma_value=lemma_value,
         lemma_mismatch=abs(i_c - lemma_value),
         k=k,
-        quadratic_residual=quad_residual,
+        quadratic_residual=None if quad is None else quad.residual_rel,
     )
 
 
-def _quadratic_coefficient_with_gauge(p: GridDensity, drift, diffusion: float,
-                                      rtol: float):
-    c0 = np.moveaxis(np.asarray(drift.base_eval(p.points()), dtype=float), -1, 0)
-    gauge = solve_gauge_field(p, c0, rtol=rtol)
-    gxi = spectral_gradient(gauge.values)
-    k = p.integrate(np.sum(gxi**2, axis=0)) / (4.0 * diffusion)
-    return k, gauge
-
-
-def quadratic_coefficient(p: GridDensity, drift, diffusion: float = 0.5,
-                          rtol: float = 1e-11) -> float:
+def quadratic_coefficient(p: GridDensity, drift, diffusion: float = 0.5) -> float:
     """Coefficient K of the delta^2 law: solves div[p (C0 + grad xi)] = 0 for
     the unit-strength drift C0 and returns (1/(4D)) int |grad xi|^2 dmu.
 
@@ -413,8 +407,7 @@ def quadratic_coefficient(p: GridDensity, drift, diffusion: float = 0.5,
     the density and the drift recipe."""
     if diffusion <= 0:
         raise ParameterError("diffusion must be positive")
-    k, _ = _quadratic_coefficient_with_gauge(p, drift, diffusion, rtol)
-    return k
+    return _gauge_energy(p, field_on_grid(drift.base_eval, p), diffusion)[2]
 
 
 def circle_rate_closed_form(p: GridDensity, delta: float) -> float:

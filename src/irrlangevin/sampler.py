@@ -145,8 +145,10 @@ def em_step(state, potential: PotentialField, drift, diffusion: float, dt: float
     if not np.all(np.isfinite(s)) or not np.all(np.isfinite(w)):
         bad = np.argwhere(~(np.isfinite(s) & np.isfinite(w)))
         raise PropagationError(f"non-finite input at position {bad[0].tolist()}")
-    out = next(_em_path(s[None], potential.grad, _drift_adder(potential, [drift]),
-                        diffusion, dt, 1, w[None, None]))[0]
+    # a blow-up is reported below, as in ``simulate_cells``
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = next(_em_path(s[None], potential.grad, _drift_adder(potential, [drift]),
+                            diffusion, dt, 1, w[None, None]))[0]
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
         raise PropagationError(f"state became non-finite at position {bad[0].tolist()}")
@@ -217,8 +219,14 @@ def simulate_cells(
     if len(streams) != n_cells:
         raise ParameterError("need one stream per cell")
     _check_step(diffusion, dt, substeps)
+    if n_steps < 0:
+        raise ParameterError(f"n_steps must be >= 0, got {n_steps}")
     d = potential.dimension
-    states = np.array(initials, dtype=float)
+    try:
+        states = np.array(initials, dtype=float)
+    except ValueError as exc:  # ragged states, e.g. [(1.0, 1.0), (1.0,)]
+        raise DimensionError(f"need {n_cells} initial states of dimension {d}: "
+                             f"{exc}") from exc
     if states.size != n_cells * d:
         raise DimensionError(f"need {n_cells} initial states of dimension {d}, "
                              f"got an array of shape {states.shape}")

@@ -177,6 +177,8 @@ def test_ratefn_cli(tmp_path):
     report = json.loads((out / "rate_report.json").read_text())
     assert report["I_C"] <= 1e-8  # invariant density has zero rate
     assert report["lemma_mismatch"] <= 1e-8
+    assert isinstance(report["gauge_iterations"], int) and report["gauge_iterations"] > 0
+    assert 0.0 <= report["quadratic_residual"] <= 1e-10
     summary = (out / "rate_summary.csv").read_text().splitlines()
     assert summary[0] == "potential,delta,D,grid,I0,J_C,I_C,K"
 
@@ -198,6 +200,7 @@ def test_ratefn_cli_density_file(tmp_path):
     assert main(["ratefn", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "rate_report.json").read_text())
     assert report["I_C"] == pytest.approx(0.0837341, abs=1e-5)
+    assert report["quadratic_residual"] is None  # no quadratic solve requested
 
 
 def test_spectral_cli(tmp_path):

@@ -79,6 +79,51 @@ def test_spectral_divergence_of_curl_vanishes():
     assert np.max(np.abs(spectral_divergence(curl))) <= 1e-10
 
 
+def _reference_gradient(values):
+    """Per-axis complex-FFT derivative, Nyquist mode zeroed."""
+    vhat = np.fft.fftn(values)
+    out = []
+    for axis, n in enumerate(values.shape):
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        shape = [1] * values.ndim
+        shape[axis] = -1
+        out.append(np.fft.ifftn(1j * k.reshape(shape) * vhat).real)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("shape", [(1,), (15,), (16,), (9, 9), (10, 10)])
+def test_real_transforms_match_complex_reference(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    values = rng.standard_normal(shape)
+    flux = rng.standard_normal((len(shape),) + shape)
+    grad = spectral_gradient(values)
+    assert grad.shape == (len(shape),) + shape
+    np.testing.assert_allclose(grad, _reference_gradient(values), rtol=0, atol=1e-12)
+    div = spectral_divergence(flux)
+    assert div.shape == shape
+    expected = sum(_reference_gradient(f)[a] for a, f in enumerate(flux))
+    np.testing.assert_allclose(div, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 16), (10, 10)])
+def test_nyquist_mode_has_zero_derivative(shape):
+    rng = np.random.default_rng(3)
+    axes = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
+    for axis, j in enumerate(axes):
+        nyquist = (-1.0) ** j
+        if all(n % 16 == 0 for n in shape):  # exact transforms: exactly zero
+            assert not np.any(spectral_gradient(nyquist))
+            assert not np.any(spectral_divergence(np.stack([nyquist] * len(shape))))
+        # Nyquist along ``axis`` times a random profile along the other axes
+        mixed = nyquist * rng.standard_normal(shape[:axis] + (1,) + shape[axis + 1:])
+        assert np.max(np.abs(spectral_gradient(mixed)[axis])) <= 1e-12
+        flux = np.zeros((len(shape),) + shape)
+        flux[axis] = mixed
+        assert np.max(np.abs(spectral_divergence(flux))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # gauge solver
 

@@ -199,6 +199,24 @@ def test_wrong_initial_count_is_dimension_error():
                        [_NoNormals(1), _NoNormals(2)])
 
 
+def test_ragged_initials_are_dimension_error():
+    with pytest.raises(DimensionError):
+        simulate_cells(QUAD, [None, None], 0.1, 1e-3, 10, [(1.0, 1.0), (1.0,)],
+                       [_NoNormals(1), _NoNormals(2)])
+
+
+def test_negative_step_count_is_parameter_error():
+    with pytest.raises(ParameterError, match="n_steps"):
+        simulate_cells(QUAD, [None], 0.1, 1e-3, -3, [(1.0, 1.0)], [_NoNormals(1)])
+
+
+def test_em_step_overflow_is_propagation_error_not_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError):
+            em_step([1e308, 1e308], get_potential("bimodal1"), None, 0.1, 1.0, [0, 0])
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ParameterError):
         quad_config(dt=-1.0)
