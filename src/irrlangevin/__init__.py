@@ -18,7 +18,6 @@ from .drift import (
     check_invariance,
     make_constant_drift,
     make_rotational_drift,
-    make_wedge_drift,
 )
 from .errors import (
     ConfigError,

@@ -5,8 +5,8 @@ div C = 2 C . grad U.  Two constructions are provided:
 
 * rotational -- C0 = S grad U for a constant antisymmetric matrix S, which
   is simultaneously divergence free and orthogonal to grad U;
-* wedge -- the cross-product form in d = 3, C0 = grad U x grad V2, which
-  degenerates to the quarter-turn J grad U in d = 2.
+* constant -- C0 = c0, which qualifies on a flat potential (the circle
+  diagnostics, where d = 1 admits no rotational field).
 
 ``check_invariance`` measures the defect of the algebraic constraint
 div C = 2 C . grad U directly; this avoids evaluating e^{-2U}, which would
@@ -62,35 +62,6 @@ class RotationalDrift:
 
 
 @dataclass(frozen=True)
-class WedgeDrift:
-    """Wedge-product drift; closed classical form for d in {2, 3}.
-
-    d = 2: C0 = J grad U.  d = 3: C0 = grad U x grad V2 for the single
-    factor field V2, so C0 is orthogonal to both grad U and grad V2.
-    """
-
-    potential: PotentialField
-    factors: tuple
-    delta: float
-
-    kind = "wedge"
-
-    def base_eval(self, x) -> np.ndarray:
-        g = self.potential.grad(x)
-        if self.potential.dimension == 2:
-            return g @ J2.T
-        gv = self.factors[0].grad(x)
-        return np.cross(g, gv)
-
-    def eval(self, x) -> np.ndarray:
-        return self.delta * self.base_eval(x)
-
-    @property
-    def dimension(self) -> int:
-        return self.potential.dimension
-
-
-@dataclass(frozen=True)
 class ConstantDrift:
     """C(x) = delta * c0 for a constant vector c0 (divergence free).
 
@@ -125,22 +96,6 @@ def make_rotational_drift(S, potential: PotentialField, delta: float) -> Rotatio
             f"dimension {potential.dimension}"
         )
     return RotationalDrift(matrix=S, potential=potential, delta=float(delta))
-
-
-def make_wedge_drift(potential: PotentialField, factors, delta: float) -> WedgeDrift:
-    """Build the wedge drift from U and the factor fields V2..V_{d-1}."""
-    d = potential.dimension
-    if d not in (2, 3):
-        raise DimensionError(f"wedge drift supports d in {{2, 3}}, got d={d}")
-    factors = tuple(factors)
-    if d == 3 and len(factors) != 1:
-        raise ConstructionError("wedge drift in d=3 needs exactly one factor field")
-    if d == 2 and len(factors) != 0:
-        raise ConstructionError("wedge drift in d=2 takes no factor fields")
-    for f in factors:
-        if f.dimension != d:
-            raise DimensionError("factor field dimension mismatch")
-    return WedgeDrift(potential=potential, factors=factors, delta=float(delta))
 
 
 def make_constant_drift(vector, delta: float = 1.0) -> ConstantDrift:

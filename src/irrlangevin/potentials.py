@@ -1,10 +1,9 @@
 """Scalar potential fields on R^d and on flat tori.
 
-Every catalog entry carries a hand-coded analytic gradient; central finite
-differences exist only as a cross-check oracle (tests) and as the fallback
-for the Laplacian when no closed form is wired in.  Evaluation is
-vectorized: points have shape ``(..., d)``, energies come back with shape
-``(...,)`` and gradients with shape ``(..., d)``.
+Every catalog entry carries a hand-coded analytic gradient; the tests check
+it against central finite differences.  Evaluation is vectorized: points
+have shape ``(..., d)``, energies come back with shape ``(...,)`` and
+gradients with shape ``(..., d)``.
 
 Torus entries use period 2*pi per axis so that Fourier modes are plain
 integer wavenumbers.
@@ -54,7 +53,6 @@ class PotentialField:
     dimension: int
     value_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray]
-    laplacian_fn: Callable[[np.ndarray], np.ndarray] | None = None
     period: tuple[float, ...] | None = None
     params: dict = field(default_factory=dict)
 
@@ -75,23 +73,6 @@ class PotentialField:
         """Analytic gradient of U at x."""
         return self.grad_fn(self._as_points(x))
 
-    def laplacian(self, x) -> np.ndarray:
-        """Laplacian of U, by closed form or central differences (h=1e-5)."""
-        pts = self._as_points(x)
-        if self.laplacian_fn is not None:
-            return self.laplacian_fn(pts)
-        h = 1e-5
-        acc = np.zeros(pts.shape[:-1])
-        for axis in range(self.dimension):
-            shift = np.zeros(self.dimension)
-            shift[axis] = h
-            acc = acc + (
-                self.value_fn(pts + shift)
-                - 2.0 * self.value_fn(pts)
-                + self.value_fn(pts - shift)
-            ) / h**2
-        return acc
-
     @property
     def is_torus(self) -> bool:
         return self.period is not None
@@ -104,7 +85,6 @@ def _quadratic(dim: int = 2) -> PotentialField:
         dimension=dim,
         value_fn=lambda z: 0.5 * np.sum(z**2, axis=-1),
         grad_fn=lambda z: z.copy(),
-        laplacian_fn=lambda z: np.full(z.shape[:-1], float(dim)),
         params={"dim": dim},
     )
 
@@ -119,11 +99,7 @@ def _bimodal1() -> PotentialField:
         x, y = z[..., 0], z[..., 1]
         return np.stack([x**3 - x, y], axis=-1)
 
-    def lap(z):
-        x = z[..., 0]
-        return 3.0 * x**2
-
-    return PotentialField("bimodal1", 2, value, grad, lap)
+    return PotentialField("bimodal1", 2, value, grad)
 
 
 def _bimodal2() -> PotentialField:
@@ -137,11 +113,7 @@ def _bimodal2() -> PotentialField:
         w = 3.0 * y + x**2 - 1.0
         return np.stack([4.0 * x * (x**2 - 1.0) + 2.0 * x * w, 3.0 * w], axis=-1)
 
-    def lap(z):
-        x, y = z[..., 0], z[..., 1]
-        return 18.0 * x**2 + 6.0 * y + 3.0
-
-    return PotentialField("bimodal2", 2, value, grad, lap)
+    return PotentialField("bimodal2", 2, value, grad)
 
 
 def _threewell() -> PotentialField:
@@ -178,11 +150,8 @@ def _torus_cosine(a: float = 1.0, b: float = 1.0) -> PotentialField:
     def grad(z):
         return np.stack([-a * np.sin(z[..., 0]), -b * np.sin(z[..., 1])], axis=-1)
 
-    def lap(z):
-        return -a * np.cos(z[..., 0]) - b * np.cos(z[..., 1])
-
     return PotentialField(
-        "torus-cosine", 2, value, grad, lap,
+        "torus-cosine", 2, value, grad,
         period=(TWO_PI, TWO_PI), params={"a": a, "b": b},
     )
 
@@ -194,7 +163,6 @@ def _torus_cosine_1d(a: float = 1.0) -> PotentialField:
         dimension=1,
         value_fn=lambda z: a * np.cos(z[..., 0]),
         grad_fn=lambda z: -a * np.sin(z),
-        laplacian_fn=lambda z: -a * np.cos(z[..., 0]),
         period=(TWO_PI,),
         params={"a": a},
     )
@@ -207,7 +175,6 @@ def _torus_zero(dim: int = 1) -> PotentialField:
         dimension=dim,
         value_fn=lambda z: np.zeros(z.shape[:-1]),
         grad_fn=np.zeros_like,
-        laplacian_fn=lambda z: np.zeros(z.shape[:-1]),
         period=(TWO_PI,) * dim,
         params={"dim": dim},
     )
@@ -249,14 +216,3 @@ def get_potential(name: str, /, **params) -> PotentialField:
         return entry.builder(**params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"potential {name!r}: {exc}") from exc
-
-
-def finite_difference_gradient(field: PotentialField, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient, the test oracle for analytic gradients."""
-    pts = np.asarray(x, dtype=float)
-    out = np.zeros_like(pts)
-    for axis in range(field.dimension):
-        shift = np.zeros(field.dimension)
-        shift[axis] = h
-        out[..., axis] = (field.eval(pts + shift) - field.eval(pts - shift)) / (2.0 * h)
-    return out

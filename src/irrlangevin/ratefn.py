@@ -91,6 +91,11 @@ def spectral_divergence(flux: np.ndarray) -> np.ndarray:
 # grid densities
 
 
+def _check_positive(values: np.ndarray) -> None:
+    if values.size == 0 or not np.all(np.isfinite(values)) or values.min() <= 0.0:
+        raise ParameterError("density must be nonempty, finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Strictly positive probability density on a periodic grid.
@@ -108,8 +113,7 @@ class GridDensity:
             raise DimensionError("grid densities support 1 or 2 dimensions")
         if v.ndim == 2 and v.shape[0] != v.shape[1]:
             raise ParameterError("2-d grids must be square (N x N)")
-        if not np.all(np.isfinite(v)) or v.min() <= 0.0:
-            raise ParameterError("density must be finite and strictly positive")
+        _check_positive(v)
         if abs(v.mean() - 1.0) > 1e-12:
             raise ParameterError(
                 "density is not normalized: grid mean must be 1 within 1e-12 "
@@ -124,8 +128,7 @@ class GridDensity:
         """Density from finite, strictly positive node values, rescaled to
         grid mean 1."""
         v = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(v)) or v.min() <= 0.0:
-            raise ParameterError("density must be finite and strictly positive")
+        _check_positive(v)
         return cls(v / v.mean())
 
     @classmethod

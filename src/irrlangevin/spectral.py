@@ -12,7 +12,9 @@ eigenvalue of L + beta f.  The module discretizes D Lap + C . grad with
 centered differences on a periodic grid (the circle, or the 2-torus with a
 drift field C), extracts lambda(beta f) as the Perron eigenvalue of the
 dense matrix with one ``np.linalg.eig`` call, and Legendre-transforms it
-into the rate function of the ergodic average.
+into the rate function of the ergodic average.  Each Newton step of that
+transform makes one eigensolve: lambda' and lambda'' are exact, from the
+Perron pair and two bordered linear solves (Hellmann-Feynman).
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
-
-#: Step of the central differences that give lambda'(beta) and lambda''(beta).
-FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -209,37 +208,39 @@ def principal_eigenvalue_2d(f_samples, beta: float, drift_samples,
 
 
 class ScaledCgf:
-    """Cached beta -> lambda(beta f) map for one (f, delta, D, N) context;
-    derivatives are central differences with step ``FD_STEP``."""
+    """The map beta -> lambda(beta f) and its first two derivatives for one
+    (f, delta, D, N) context."""
 
     def __init__(self, f_samples, delta: float, diffusion: float):
         self.f = np.asarray(f_samples, dtype=float)
         self.delta = float(delta)
         self.diffusion = float(diffusion)
         self._base = circle_operator(len(self.f), self.delta, self.diffusion)
-        self._cache: dict[float, float] = {}
 
     def value(self, beta: float) -> float:
-        beta = float(beta)
-        if beta not in self._cache:
-            matrix = _add_potential(self._base.copy(), beta, self.f)
-            self._cache[beta] = _perron(matrix)[0]
-        return self._cache[beta]
+        return _perron(_add_potential(self._base.copy(), float(beta), self.f))[0]
 
-    def derivative(self, beta: float) -> float:
-        h = FD_STEP
-        return (self.value(beta + h) - self.value(beta - h)) / (2.0 * h)
+    def jet(self, beta: float) -> tuple[float, float, float]:
+        """lambda, lambda' and lambda'' at beta from one Perron pair (lambda, r).
 
-    def second_derivative(self, beta: float) -> float:
-        h = FD_STEP
-        return (
-            self.value(beta + h) - 2.0 * self.value(beta) + self.value(beta - h)
-        ) / h**2
+        K = [[M - lambda I, r], [r^T, 0]] is nonsingular as lambda is simple.
+        K^T [l; 0] = e_{N+1} gives the left eigenvector, with <l, r> = 1, so
+        lambda' = <l, f r> (Hellmann-Feynman); K [r'; 0] = [(lambda' - f) r; 0]
+        gives r', and lambda'' = 2 <l, (f - lambda') r'>."""
+        matrix = _add_potential(self._base.copy(), float(beta), self.f)
+        lam, r = _perron(matrix)
+        n = len(r)
+        border = np.block([[matrix - lam * np.eye(n), r[:, None]], [r, 0.0]])
+        left = np.linalg.solve(border.T, np.eye(1, n + 1, n)[0])[:n]
+        slope = float(left @ (self.f * r))
+        dr = np.linalg.solve(border, np.append((slope - self.f) * r, 0.0))[:n]
+        return lam, slope, 2.0 * float(left @ ((self.f - slope) * dr))
 
 
 def _solve_tilt(scgf: ScaledCgf, ell: float, bracket: tuple[float, float] = (-50.0, 50.0),
-                tol: float = 1e-8, max_iter: int = 80) -> float:
-    """Find beta with lambda'(beta) = ell; Newton with bisection fallback.
+                tol: float = 1e-8, max_iter: int = 80) -> tuple[float, float]:
+    """Find beta with lambda'(beta) = ell and return (beta, lambda(beta));
+    Newton with bisection fallback.
 
     lambda is smooth and strictly convex, so lambda' is increasing and the
     root is unique whenever ell lies in the closure of lambda'(R)."""
@@ -247,26 +248,23 @@ def _solve_tilt(scgf: ScaledCgf, ell: float, bracket: tuple[float, float] = (-50
     beta = 0.0
     glo = ghi = None
     for _ in range(max_iter):
-        g = scgf.derivative(beta) - ell
+        lam, slope, curv = scgf.jet(beta)
+        g = slope - ell
         if abs(g) <= tol * max(1.0, abs(ell)):
-            return beta
+            return beta, lam
         if g < 0:
             lo, glo = max(lo, beta), g
         else:
             hi, ghi = min(hi, beta), g
-        curv = scgf.second_derivative(beta)
-        if curv > 0:
-            candidate = beta - g / curv
-        else:
-            candidate = math.nan
+        candidate = beta - g / curv if curv > 0 else math.nan
         if not (lo < candidate < hi):
             # bisect; make sure the bracket actually straddles the root
             if glo is None:
-                if scgf.derivative(lo) - ell >= 0:
+                if scgf.jet(lo)[1] - ell >= 0:
                     raise DomainError(f"level {ell} below the reachable range")
                 glo = -1.0
             if ghi is None:
-                if scgf.derivative(hi) - ell <= 0:
+                if scgf.jet(hi)[1] - ell <= 0:
                     raise DomainError(f"level {ell} above the reachable range")
                 ghi = 1.0
             candidate = 0.5 * (lo + hi)
@@ -306,9 +304,9 @@ def observable_rate(f_samples, delta: float, diffusion: float,
     betas = np.empty(len(ells))
     rates = np.empty(len(ells))
     for i, ell in enumerate(ells):
-        beta = _solve_tilt(scgf, float(ell))
+        beta, lam = _solve_tilt(scgf, float(ell))
         betas[i] = beta
-        rates[i] = beta * ell - scgf.value(beta)
+        rates[i] = beta * ell - lam
     order = np.argsort(ells)
     e, r = ells[order], rates[order]
     for i in range(1, len(e) - 1):

@@ -7,20 +7,9 @@ from irrlangevin.drift import (
     check_invariance,
     make_constant_drift,
     make_rotational_drift,
-    make_wedge_drift,
 )
 from irrlangevin.errors import ConstructionError, DimensionError
-from irrlangevin.potentials import PotentialField, get_potential
-
-
-def linear_field_3d():
-    # V(x, y, z) = x, used as a wedge factor
-    return PotentialField(
-        name="linear-x",
-        dimension=3,
-        value_fn=lambda z: z[..., 0],
-        grad_fn=lambda z: np.broadcast_to([1.0, 0.0, 0.0], z.shape).copy(),
-    )
+from irrlangevin.potentials import get_potential
 
 
 def test_antisymmetric_validation():
@@ -62,33 +51,6 @@ def test_rotational_rejects_bad_inputs():
         make_rotational_drift([[0.0, 1.0], [1.0, 0.0]], get_potential("quadratic"), 1.0)
     with pytest.raises(DimensionError):
         make_rotational_drift(J2, get_potential("quadratic", dim=3), 1.0)
-
-
-def test_wedge_cross_product_3d():
-    U = get_potential("quadratic", dim=3)
-    drift = make_wedge_drift(U, [linear_field_3d()], 2.0)
-    # grad U = (0,1,0), grad V = (1,0,0) -> cross = (0,0,-1), times delta
-    np.testing.assert_allclose(drift.eval([0.0, 1.0, 0.0]), [0.0, 0.0, -2.0])
-
-
-def test_wedge_degenerates_to_rotation_in_2d():
-    field = get_potential("bimodal1")
-    wedge = make_wedge_drift(field, (), 1.0)
-    rot = make_rotational_drift(J2, field, 1.0)
-    pts = np.random.default_rng(3).uniform(-2, 2, size=(100, 2))
-    np.testing.assert_array_equal(wedge.eval(pts), rot.eval(pts))
-
-
-def test_wedge_self_factor_vanishes():
-    U = get_potential("quadratic", dim=3)
-    drift = make_wedge_drift(U, [U], 1.0)
-    pts = np.random.default_rng(4).uniform(-2, 2, size=(50, 3))
-    assert np.max(np.abs(drift.eval(pts))) <= 1e-15
-
-
-def test_wedge_unsupported_dimension():
-    with pytest.raises(DimensionError):
-        make_wedge_drift(get_potential("quadratic", dim=4), (), 1.0)
 
 
 def test_scaling_equivariance_exact():

@@ -49,6 +49,15 @@ def test_density_requires_positivity():
         GridDensity(np.ones((4, 4, 4)))
 
 
+def test_empty_density_is_parameter_error():
+    with pytest.raises(ParameterError):
+        GridDensity.from_values([])
+    with pytest.raises(ParameterError):
+        GridDensity(np.ones(0))
+    with pytest.raises(ParameterError):
+        GridDensity.uniform(0)
+
+
 def test_density_normalization():
     d = GridDensity.from_values(np.random.default_rng(0).uniform(0.5, 2.0, 64))
     assert d.values.mean() == pytest.approx(1.0, abs=1e-13)

@@ -136,7 +136,7 @@ def test_principal_eigenvalue_perron_positivity():
 
 
 def test_power_iteration_path_matches_dense():
-    f = cos_samples(600)  # above the dense cutoff
+    f = cos_samples(600)  # agrees with grid 512 to the discretization error
     lam = principal_eigenvalue(f, 0.3, 1.0, 1.0)
     dense = principal_eigenvalue(cos_samples(512), 0.3, 1.0, 1.0)
     assert lam == pytest.approx(dense, abs=1e-4)
@@ -181,6 +181,40 @@ def test_scgf_convex_in_beta():
     for delta in (0.0, 1.0, 10.0):
         assert ScaledCgf(cos_samples(), delta, 1.0).value(0.0) == \
             pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("delta", [0.0, 1.0, 4.0])
+def test_jet_at_zero_is_the_discrete_mode_variance(n, delta):
+    # lambda''(0) is the asymptotic variance of cos x under the discretized
+    # generator, which only mode 1 carries: Re(-1 / mu_1)
+    f = cos_samples(n)
+    lam, slope, curv = ScaledCgf(f, delta, 1.0).jet(0.0)
+    exact = (-1.0 / discrete_mode_eigenvalue(n, 1, delta, 1.0)).real
+    assert curv == pytest.approx(exact, rel=1e-10)
+    assert abs(lam) <= 1e-10
+    assert abs(slope - f.mean()) <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("beta", [-2.0, 0.5, 3.0])
+def test_jet_matches_central_differences_of_value(beta, delta):
+    scgf = ScaledCgf(cos_samples(64), delta, 1.0)
+    lam, slope, curv = scgf.jet(beta)
+    h = 1e-3
+    up, mid, down = scgf.value(beta + h), scgf.value(beta), scgf.value(beta - h)
+    assert lam == mid
+    assert slope == pytest.approx((up - down) / (2.0 * h), rel=1e-6)
+    assert curv == pytest.approx((up - 2.0 * mid + down) / h**2, rel=1e-4)
+
+
+@pytest.mark.parametrize("delta", [1.0, 4.0])
+def test_rate_curvature_eigensolve_budget(monkeypatch, delta):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    rate_curvature(cos_samples(64), delta, 1.0)
+    assert 0 < len(calls) <= 9
 
 
 # ---------------------------------------------------------------------------
