@@ -378,22 +378,29 @@ class SpectralConfig:
 # experiment execution
 
 
-def _delta_group_rows(config: ExperimentConfig, delta_index: int) -> list[dict]:
+def _delta_group_rows(config: ExperimentConfig,
+                      delta_index: int) -> tuple[list[dict], dict]:
     """Simulate every seed of one delta in lockstep and build result rows.
 
     One row per (seed, checkpoint).  Cell (delta, seed) owns the RNG stream
     splitmix64(delta_index, seed_index), so results do not depend on how
-    groups are scheduled across workers.
+    groups are scheduled across workers.  Also returns the group's
+    ``sampler_timing`` entry: the wall seconds of its ``simulate_cells`` call
+    and the cell-substeps per second.
     """
     delta, cells = config.deltas[delta_index], len(config.seeds)
     potential = config.build_potential()
     sde = config.sde(potential, delta)
     streams = [NormalStream(seed, splitmix64(delta_index, j))
                for j, seed in enumerate(config.seeds)]
+    start = time.perf_counter()
     series = simulate_cells(
         potential, [sde.drift] * cells, sde.diffusion, sde.dt, sde.n_steps,
         [sde.initial] * cells, streams,
         observable=get_observable(config.observable).fn, substeps=sde.substeps)
+    wall = time.perf_counter() - start
+    timing = {"delta": delta, "wall_s": wall,
+              "cell_substeps_per_s": cells * sde.n_steps * sde.substeps / wall}
     rows = []
     for j, seed in enumerate(config.seeds):
         for t in config.checkpoints:
@@ -419,13 +426,14 @@ def _delta_group_rows(config: ExperimentConfig, delta_index: int) -> list[dict]:
                 "sigma2_autocov": sigma2_a,
                 "seed": seed,
             })
-    return rows
+    return rows, timing
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
+def run_experiment(config: ExperimentConfig,
+                   threads: int = 1) -> tuple[list[dict], list[dict]]:
     """Rows for the full (delta, seed, checkpoint) grid, in deterministic
-    cell order regardless of scheduling.  The pool never has more workers
-    than delta groups."""
+    cell order regardless of scheduling, and the ``sampler_timing`` entry of
+    each delta group.  The pool never has more workers than delta groups."""
     _check(threads >= 1, f"--threads must be >= 1, got {threads}")
     indices = range(len(config.deltas))
     if threads > 1 and len(config.deltas) > 1:
@@ -434,7 +442,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[dict]:
             groups = list(pool.map(_delta_group_rows, [config] * len(indices), indices))
     else:
         groups = [_delta_group_rows(config, i) for i in indices]
-    return [row for group in groups for row in group]
+    return [row for rows, _ in groups for row in rows], [timing for _, timing in groups]
 
 
 def _format_value(value) -> str:
@@ -477,6 +485,7 @@ class TableComparison:
     scale: float
     cells: dict
     config: ExperimentConfig
+    sampler_timing: list
 
     def ratio(self, delta: float, t: float) -> float:
         return self.cells[(delta, t)].measured_ratio
@@ -505,7 +514,7 @@ def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
         potential=spec["potential"], deltas=spec["deltas"], diffusion=0.1, dt=1e-3,
         horizon=max(times), burn_in=min(5.0, 0.25 * min(times)), seeds=tuple(seeds),
         checkpoints=times)
-    rows = run_experiment(config, threads=threads)
+    rows, sampler_timing = run_experiment(config, threads=threads)
 
     medians: dict = {}
     for delta in spec["deltas"]:
@@ -527,7 +536,7 @@ def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
             ok = meas_ratio >= ref_ratio / 3.0
             cells[(delta, t)] = CellComparison(reference, measured, ref_ratio,
                                                meas_ratio, ok)
-    return TableComparison(table_id, scale, cells, config), rows
+    return TableComparison(table_id, scale, cells, config, sampler_timing), rows
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +599,15 @@ def cmd_estimate(args) -> int:
     to sweep.csv."""
     config = _experiment_config(args)
     out = _out_dir(args)
-    rows = run_experiment(config, threads=args.threads)
+    rows, sampler_timing = run_experiment(config, threads=args.threads)
     name, columns = "results.csv", RESULT_COLUMNS
     if args.command == "sweep":
         name, columns = "sweep.csv", SWEEP_COLUMNS
         rows = sorted(rows, key=lambda r: (r["delta"], r["seed"], r["t"]))
     write_csv(out / name, columns, rows)
     write_manifest(out / "manifest.json", config.to_dict(),
-                   {"threads": args.threads, "substeps": config.substeps_by_delta()})
+                   {"threads": args.threads, "substeps": config.substeps_by_delta(),
+                    "sampler_timing": sampler_timing})
     print(f"wrote {out / name} ({len(rows)} rows)")
     return 0
 
@@ -615,7 +625,8 @@ def cmd_reproduce_table(args) -> int:
     write_manifest(out / "manifest.json",
                    {"table": args.table, "scale": args.scale, "seeds": list(seeds)},
                    {"threads": args.threads,
-                    "substeps": comparison.config.substeps_by_delta()})
+                    "substeps": comparison.config.substeps_by_delta(),
+                    "sampler_timing": comparison.sampler_timing})
     status = "PASS" if comparison.all_pass else "FAIL"
     print(f"table {args.table} ratio checks: {status}")
     return 0

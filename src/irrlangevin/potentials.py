@@ -96,8 +96,10 @@ def _bimodal1() -> PotentialField:
         return 0.25 * (x**2 - 1.0) ** 2 + 0.5 * y**2
 
     def grad(z):
-        x, y = z[..., 0], z[..., 1]
-        return np.stack([x**3 - x, y], axis=-1)
+        g = z.copy()  # dU/dy = y
+        x = z[..., 0]
+        g[..., 0] = x**3 - x
+        return g
 
     return PotentialField("bimodal1", 2, value, grad)
 
@@ -111,7 +113,10 @@ def _bimodal2() -> PotentialField:
     def grad(z):
         x, y = z[..., 0], z[..., 1]
         w = 3.0 * y + x**2 - 1.0
-        return np.stack([4.0 * x * (x**2 - 1.0) + 2.0 * x * w, 3.0 * w], axis=-1)
+        g = np.empty(z.shape)
+        g[..., 0] = 4.0 * x * (x**2 - 1.0) + 2.0 * x * w
+        g[..., 1] = 3.0 * w
+        return g
 
     return PotentialField("bimodal2", 2, value, grad)
 
@@ -133,9 +138,10 @@ def _threewell() -> PotentialField:
     def grad(z):
         x, y = z[..., 0], z[..., 1]
         bump = np.exp(-8.0 * x**2 - 4.0 * y**2)
-        gx = x * (x**2 - 1.0) * ((y**2 - 2.0) ** 2 + 1.0) - 16.0 * x * bump
-        gy = y * (x**2 - 1.0) ** 2 * (y**2 - 2.0) + y - 0.125 - 8.0 * y * bump
-        return np.stack([gx, gy], axis=-1)
+        g = np.empty(z.shape)
+        g[..., 0] = x * (x**2 - 1.0) * ((y**2 - 2.0) ** 2 + 1.0) - 16.0 * x * bump
+        g[..., 1] = y * (x**2 - 1.0) ** 2 * (y**2 - 2.0) + y - 0.125 - 8.0 * y * bump
+        return g
 
     return PotentialField("threewell", 2, value, grad)
 
@@ -148,7 +154,10 @@ def _torus_cosine(a: float = 1.0, b: float = 1.0) -> PotentialField:
         return a * np.cos(z[..., 0]) + b * np.cos(z[..., 1])
 
     def grad(z):
-        return np.stack([-a * np.sin(z[..., 0]), -b * np.sin(z[..., 1])], axis=-1)
+        g = np.empty(z.shape)
+        g[..., 0] = -a * np.sin(z[..., 0])
+        g[..., 1] = -b * np.sin(z[..., 1])
+        return g
 
     return PotentialField(
         "torus-cosine", 2, value, grad,

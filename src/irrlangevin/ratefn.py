@@ -151,7 +151,14 @@ class GridDensity:
 
     @classmethod
     def uniform(cls, size: int, dims: int = 1) -> "GridDensity":
-        return cls(np.ones((size,) * dims))
+        for name, value in (("size", size), ("dims", dims)):
+            try:
+                ok = int(value) == value and value >= 1
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        return cls(np.ones((int(size),) * int(dims)))
 
     # -- geometry ----------------------------------------------------------
 

@@ -11,12 +11,20 @@ cells of a shared potential in lockstep, which is how table/sweep runs are
 executed; ``simulate`` is the single-trajectory wrapper around it.  One
 update rule, ``_em_path``, serves every caller: the lockstep chunk loop, the
 replay that locates a blow-up, and the single-step ``em_step``.
+
+Every supported drift enters the update in one affine form,
+C(Z) - grad U(Z) = grad U(Z) M + c (``_affine_drift``): no drift (M = -I),
+a ``ConstantDrift`` (M = -I, c = delta c0) and a ``RotationalDrift`` of the
+sampled potential (M = delta S^T - I).  Any other drift is rejected before a
+normal is drawn.  Each substep is then one gradient call, one product with
+M h and two in-place additions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +54,7 @@ class SdeConfig:
     step than the recording grid."""
 
     potential: PotentialField
-    drift: object | None  # a drift field, or None for reversible dynamics
+    drift: ConstantDrift | RotationalDrift | None  # None: reversible dynamics
     diffusion: float
     dt: float
     horizon: float
@@ -118,19 +126,77 @@ def _check_step(diffusion: float, dt: float, substeps: int) -> None:
         raise ParameterError("substeps must be >= 1")
 
 
-def _em_path(states, grad_fn, drift_part, diffusion: float, dt: float, substeps: int,
-             noise):
-    """The Euler-Maruyama rule Z <- Z + (C(Z) - grad U(Z)) h + sqrt(2 D h) w
-    at h = dt / substeps, one update per row ``noise[:, i]`` of the
-    (n_cells, k * substeps, d) noise; yields the (n_cells, d) states on the
-    recording grid, i.e. after every ``substeps`` updates."""
+def _affine_drift(potential: PotentialField, drifts: Sequence):
+    """The affine form C(Z) - grad U(Z) = grad U(Z) M + c of the cells' drifts.
+
+    ``M`` is the scalar -1 (standing for -I) when no cell rotates, one (d, d)
+    matrix delta S^T - I when every cell has the same one, and an (n, d, d)
+    stack otherwise; ``c`` is None, or the (n, d) rows delta * c0 of the
+    constant drifts.  A rotational drift must be built on a potential with the
+    sampler potential's name and params: a rotational field of another U does
+    not preserve the sampled Gibbs law.  Any other drift is a ParameterError.
+    """
+    n, d = len(drifts), potential.dimension
+    rotations = {}  # cell -> delta S^T, so M = -I costs no (d, d) array
+    cs = np.zeros((n, d))
+    for i, dr in enumerate(drifts):
+        if isinstance(dr, RotationalDrift):
+            if (dr.potential.name, dr.potential.params) != (potential.name,
+                                                            potential.params):
+                raise ParameterError(
+                    f"cell {i}: rotational drift of potential {dr.potential.name!r} "
+                    f"{dr.potential.params} cannot drive potential {potential.name!r} "
+                    f"{potential.params}")
+            if dr.matrix.shape != (d, d):
+                raise DimensionError(f"cell {i}: drift matrix is {dr.matrix.shape}, "
+                                     f"potential has dimension {d}")
+            rotations[i] = dr.delta * dr.matrix.T
+        elif isinstance(dr, ConstantDrift):
+            if dr.vector.shape != (d,):
+                raise DimensionError(f"cell {i}: drift vector has shape "
+                                     f"{dr.vector.shape}, potential has dimension {d}")
+            cs[i] = dr.delta * dr.vector
+        elif dr is not None:
+            raise ParameterError(
+                f"cell {i}: the sampler integrates no drift, a ConstantDrift or a "
+                f"RotationalDrift of its potential, got {type(dr).__name__}")
+    c = cs if cs.any() else None
+    if not rotations:
+        return -1.0, c
+    M = np.zeros((n, d, d))
+    for i, rotation in rotations.items():
+        M[i] = rotation
+    M -= np.eye(d)
+    return (M[0] if (M == M[0]).all() else M), c
+
+
+def _cellwise_matmul(grads, Mh):
+    """Row i of ``grads`` times matrix i of ``Mh``."""
+    return (grads[:, None] @ Mh)[:, 0]
+
+
+def _em_path(states, grad_fn, drift, dt: float, substeps: int, w):
+    """The Euler-Maruyama rule Z <- Z + (C(Z) - grad U(Z)) h + w at
+    h = dt / substeps, with the drift in the affine form ``drift = (M, c)``
+    of ``_affine_drift`` and w = sqrt(2 D h) * normals.  h is folded into M
+    and c once, so each update is grad U(Z) (M h) + c h + Z + w.  One update
+    per row ``w[k]`` of the (k * substeps, n_cells, d) increments; yields the
+    (n_cells, d) states on the recording grid, i.e. after every ``substeps``
+    updates."""
     h = dt / substeps
-    scale = math.sqrt(2.0 * diffusion * h)
-    for j in range(noise.shape[1] // substeps):
-        for s in range(substeps):
-            grads = grad_fn(states)
-            states = states + (drift_part(states, grads) - grads) * h \
-                + scale * noise[:, j * substeps + s, :]
+    M, c = drift
+    Mh = M * h
+    ch = None if c is None else c * h
+    product = (operator.mul if np.ndim(M) == 0 else
+               operator.matmul if np.ndim(M) == 2 else _cellwise_matmul)
+    for j in range(len(w) // substeps):
+        for k in range(j * substeps, (j + 1) * substeps):
+            step = product(grad_fn(states), Mh)
+            if ch is not None:
+                step += ch
+            step += states
+            step += w[k]
+            states = step
         yield states
 
 
@@ -145,50 +211,15 @@ def em_step(state, potential: PotentialField, drift, diffusion: float, dt: float
     if not np.all(np.isfinite(s)) or not np.all(np.isfinite(w)):
         bad = np.argwhere(~(np.isfinite(s) & np.isfinite(w)))
         raise PropagationError(f"non-finite input at position {bad[0].tolist()}")
+    affine = _affine_drift(potential, [drift])
     # a blow-up is reported below, as in ``simulate_cells``
     with np.errstate(over="ignore", invalid="ignore"):
-        out = next(_em_path(s[None], potential.grad, _drift_adder(potential, [drift]),
-                            diffusion, dt, 1, w[None, None]))[0]
+        out = next(_em_path(s[None], potential.grad, affine, dt, 1,
+                            math.sqrt(2.0 * diffusion * dt) * w[None, None]))[0]
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
         raise PropagationError(f"state became non-finite at position {bad[0].tolist()}")
     return out
-
-
-def _drift_adder(potential: PotentialField, drifts: Sequence):
-    """Build a fast vectorized b(states, grads) for the common drift families.
-
-    Returns a function mapping (states (n,d), grads (n,d)) -> drift part of
-    the total vector field (without the -grad U term).
-    """
-    n = len(drifts)
-    d = potential.dimension
-    if all(dr is None for dr in drifts):
-        return lambda states, grads: 0.0
-    if all(isinstance(dr, ConstantDrift) for dr in drifts):
-        const = np.stack([dr.delta * dr.vector for dr in drifts])
-        return lambda states, grads: const
-    first = drifts[0]
-    if (
-        isinstance(first, RotationalDrift)
-        and all(
-            isinstance(dr, RotationalDrift)
-            and dr.potential is potential
-            and np.array_equal(dr.matrix, first.matrix)
-            for dr in drifts
-        )
-    ):
-        st = first.matrix.T.copy()
-        deltas = np.array([dr.delta for dr in drifts])[:, None]
-        return lambda states, grads: deltas * (grads @ st)
-
-    def generic(states, grads):
-        out = np.empty((n, d))
-        for i, dr in enumerate(drifts):
-            out[i] = 0.0 if dr is None else dr.eval(states[i])
-        return out
-
-    return generic
 
 
 def simulate_cells(
@@ -205,8 +236,10 @@ def simulate_cells(
 ) -> np.ndarray:
     """Advance ``len(drifts)`` cells in lockstep.
 
-    Each cell couples one drift field with one normal stream; all cells
-    share the potential, diffusion, step size and substep count.  Returns
+    Each cell couples one drift with one normal stream; all cells share the
+    potential, diffusion, step size and substep count.  A drift is None, a
+    ``ConstantDrift`` or a ``RotationalDrift`` of ``potential`` (see
+    ``_affine_drift``); any other is a ParameterError.  Returns
     the full state history ``(n_cells, n_steps + 1, d)`` at the recording
     grid 0, dt, 2 dt, ..., or, when ``observable`` is given, the series
     ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states.
@@ -231,7 +264,8 @@ def simulate_cells(
         raise DimensionError(f"need {n_cells} initial states of dimension {d}, "
                              f"got an array of shape {states.shape}")
     states = states.reshape(n_cells, d)
-    rule = (potential.grad_fn, _drift_adder(potential, drifts), diffusion, dt, substeps)
+    rule = (potential.grad_fn, _affine_drift(potential, drifts), dt, substeps)
+    scale = math.sqrt(2.0 * diffusion * (dt / substeps))
     record = (lambda z: z) if observable is None else observable
     out = np.empty((n_cells, n_steps + 1) + ((d,) if observable is None else ()))
     out[:, 0] = record(states)
@@ -244,9 +278,11 @@ def simulate_cells(
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             m = min(record_chunk, n_steps - step)
-            noise = np.empty((n_cells, m * substeps, d))
+            # step-major: row k holds every cell's k-th increment
+            noise = np.empty((m * substeps, n_cells, d))
             for i, stream in enumerate(streams):
-                noise[i] = stream.normals(m * substeps * d).reshape(m * substeps, d)
+                noise[:, i] = stream.normals(m * substeps * d).reshape(m * substeps, d)
+            noise *= scale  # in place: a scaled copy would double the chunk's memory
             start = states
             for j, states in enumerate(_em_path(start, *rule, noise), start=step + 1):
                 out[:, j] = record(states)

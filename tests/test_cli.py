@@ -42,7 +42,7 @@ def write_config(tmp_path, doc, name="config.json"):
 
 def test_ou_rows_cover_known_mean(tmp_path):
     config = ExperimentConfig.from_dict(ou_config())
-    rows = run_experiment(config)
+    rows, _ = run_experiment(config)
     assert len(rows) == 3  # one checkpoint x three seeds
     for row in rows:
         assert row["ci_lo"] <= 0.2 <= row["ci_hi"]
@@ -259,6 +259,26 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
         assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 40
     else:
         assert ran == expected
+
+
+@pytest.mark.parametrize("argv, deltas", [
+    (["estimate"], [0.0, 10.0]),
+    (["sweep"], [0.0, 10.0]),
+    (["reproduce-table", "--table", "1", "--scale", "0.02", "--seeds", "1"],
+     [0.0, 10.0, 100.0]),
+])
+def test_manifest_records_the_sampler_cost_of_each_delta(tmp_path, argv, deltas):
+    cfg = write_config(tmp_path, ou_config(drift={"deltas": deltas}, horizon=0.05,
+                                           burn_in=0.01, seeds=[1, 2]))
+    out = tmp_path / "out"
+    if argv[0] != "reproduce-table":
+        argv = argv + ["--config", cfg]
+    assert main(argv + ["--out", str(out)]) == 0
+    timing = json.loads((out / "manifest.json").read_text())["sampler_timing"]
+    assert [entry["delta"] for entry in timing] == deltas
+    for entry in timing:
+        assert set(entry) == {"delta", "wall_s", "cell_substeps_per_s"}
+        assert entry["wall_s"] > 0 and entry["cell_substeps_per_s"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ def test_empty_density_is_parameter_error():
         GridDensity.uniform(0)
 
 
+@pytest.mark.parametrize("size, dims", [(-1, 1), (2.5, 1), ("8", 1), (8, 0), (8, -1),
+                                        (8, 1.5)])
+def test_uniform_density_rejects_a_bad_grid_shape(size, dims):
+    with pytest.raises(ParameterError):
+        GridDensity.uniform(size, dims)
+
+
 def test_density_normalization():
     d = GridDensity.from_values(np.random.default_rng(0).uniform(0.5, 2.0, 64))
     assert d.values.mean() == pytest.approx(1.0, abs=1e-13)

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from irrlangevin.drift import J2, make_rotational_drift
+from irrlangevin.drift import J2, make_constant_drift, make_rotational_drift
 from irrlangevin.errors import DimensionError, ParameterError, PropagationError
 from irrlangevin.estimators import OBSERVABLES, ergodic_average
 from irrlangevin.potentials import get_potential
 from irrlangevin.rng import NormalStream
 from irrlangevin.sampler import (
     SdeConfig,
+    _affine_drift,
     em_step,
     load_trajectory,
     save_trajectory,
@@ -166,9 +167,87 @@ def test_em_step_is_the_loop_update(delta):
     np.testing.assert_array_equal(one, cells[0, 1])
 
 
+def _bimodal_drift(kind, delta, potential=None):
+    bimodal = potential or get_potential("bimodal1")
+    if kind == "constant":
+        return make_constant_drift([1.0, -0.5], delta)
+    if kind == "rotational":
+        return make_rotational_drift(J2, bimodal, delta)
+    return None
+
+
+@pytest.mark.parametrize("delta", [0.37, 3.7, 100.0])
+@pytest.mark.parametrize("kind", ["none", "constant", "rotational"])
+def test_em_step_is_the_literal_euler_maruyama_update(kind, delta):
+    # z + (C(z) - grad U(z)) dt + sqrt(2 D dt) w, written out here as the oracle
+    bimodal = get_potential("bimodal1")
+    drift = _bimodal_drift(kind, delta, bimodal)
+    diffusion, dt = 0.1, 1e-3
+    rng = np.random.default_rng(7)
+    for z in rng.uniform(0.2, 1.5, size=(5, 2)) * [1.0, -1.0]:
+        w = rng.standard_normal(2)
+        c = 0.0 if drift is None else drift.eval(z)
+        literal = z + (c - bimodal.grad(z)) * dt + math.sqrt(2 * diffusion * dt) * w
+        np.testing.assert_allclose(em_step(z, bimodal, drift, diffusion, dt, w), literal,
+                                   rtol=1e-14, atol=0)
+
+
+def test_cells_with_different_drifts_match_one_cell_runs():
+    # the per-cell (n, d, d) drift matrix against one (d, d) matrix per run
+    bimodal = get_potential("bimodal1")
+    drifts = [None, _bimodal_drift("constant", 2.0), _bimodal_drift("rotational", 3.7)]
+    initials = [(0.3, -0.8), (-1.1, 0.2), (0.9, 0.5)]
+    together = simulate_cells(bimodal, drifts, 0.1, 1e-2, 100, initials,
+                              [NormalStream(4, i) for i in range(3)], substeps=4)
+    for i, drift in enumerate(drifts):
+        alone = simulate_cells(bimodal, [drift], 0.1, 1e-2, 100, [initials[i]],
+                               [NormalStream(4, i)], substeps=4)
+        np.testing.assert_allclose(together[i], alone[0], rtol=0, atol=1e-12)
+
+
+def test_rotational_drift_of_an_equal_potential_is_accepted():
+    # a drift built on another bimodal1 object drives the same dynamics
+    bimodal = get_potential("bimodal1")
+    runs = [simulate_cells(bimodal, [_bimodal_drift("rotational", 3.7, potential)], 0.1,
+                           1e-2, 50, [(0.3, -0.8)], [NormalStream(2, 0)])
+            for potential in (bimodal, get_potential("bimodal1"))]
+    np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def test_reversible_and_constant_drifts_build_no_dense_matrix():
+    # M = -I stays a scalar, so a high-dimensional reversible run costs O(d)
+    field = get_potential("quadratic", dim=4096)
+    for drifts in ([None], [None, make_constant_drift(np.ones(4096), 0.5)]):
+        assert _affine_drift(field, drifts)[0] == -1.0
+
+
 class _NoNormals(NormalStream):
     def normals(self, n):
         raise AssertionError("normals drawn before the inputs were checked")
+
+
+class _EvalOnly:
+    def eval(self, x):
+        return np.zeros_like(x)
+
+
+@pytest.mark.parametrize("entry", ["simulate_cells", "em_step"])
+@pytest.mark.parametrize("drift", [
+    pytest.param(make_rotational_drift(J2, get_potential("bimodal2"), 1.0),
+                 id="rotational_of_another_potential"),
+    pytest.param(make_rotational_drift(J2, get_potential("quadratic", dim=2), 1.0),
+                 id="rotational_of_quadratic"),
+    pytest.param(_EvalOnly(), id="object_with_eval"),
+    pytest.param(make_constant_drift([1.0, 0.0, 0.0], 1.0), id="constant_of_wrong_dim"),
+])
+def test_drift_outside_the_affine_form_is_parameter_error(entry, drift):
+    bimodal = get_potential("bimodal1")
+    with pytest.raises(ParameterError):
+        if entry == "simulate_cells":
+            simulate_cells(bimodal, [None, drift], 0.1, 1e-3, 10, [(1.0, 1.0)] * 2,
+                           [_NoNormals(1), _NoNormals(2)])
+        else:
+            em_step([1.0, 1.0], bimodal, drift, 0.1, 1e-3, [0.0, 0.0])
 
 
 @pytest.mark.parametrize("entry", ["simulate_cells", "em_step", "SdeConfig"])
