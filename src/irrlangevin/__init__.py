@@ -7,8 +7,8 @@ Subpackages:
 * ``sampler``    -- Euler-Maruyama integration with reproducible streams
 * ``estimators`` -- ergodic averages, batch means, asymptotic variance
 * ``ratefn``     -- empirical-measure rate functionals on periodic grids
-* ``spectral``   -- circle analytics: exact variances, principal
-                    eigenvalues, observable rate functions
+* ``spectral``   -- exact circle variances; principal eigenvalues and
+                    observable rate functions on the circle and the 2-torus
 * ``cli``        -- config-driven experiment runner
 """
 
@@ -64,11 +64,10 @@ from .sampler import (
 from .spectral import (
     FourierObservable,
     ObservableRateCurve,
-    SpectralReport,
+    ScaledCgf,
     fourier_sigma2,
     generator_spectrum,
     observable_rate,
-    principal_eigenvalue,
     rate_curvature,
 )
 

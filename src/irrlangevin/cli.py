@@ -40,7 +40,9 @@ from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
 from .sampler import (
     NOISE_CHUNK, SdeConfig, save_trajectory, simulate, simulate_cells, stable_substeps,
 )
-from .spectral import FourierObservable, fourier_sigma2, observable_rate, rate_curvature
+from .spectral import (
+    FourierObservable, check_levels, fourier_sigma2, observable_rate, rate_curvature,
+)
 
 RESULT_COLUMNS = (
     "potential,delta,D,dt,t,v,m,estimate,s2m,ci_lo,ci_hi,"
@@ -364,13 +366,7 @@ class SpectralConfig:
         _check(config.diffusion > 0, "diffusion must be > 0")
         _check(8 <= config.grid <= MAX_SPECTRAL_GRID,
                f"grid must lie in [8, {MAX_SPECTRAL_GRID}]")
-        _check(len(set(config.ell_grid)) == len(config.ell_grid),
-               f"ell_grid levels must be distinct, got {list(config.ell_grid)}")
-        samples = SPECTRAL_OBSERVABLE.samples(config.grid)
-        for ell in config.ell_grid:
-            _check(samples.min() < ell < samples.max(),
-                   f"ell_grid level {ell} outside the open range "
-                   f"({samples.min():g}, {samples.max():g}) of the observable")
+        check_levels(SPECTRAL_OBSERVABLE.samples(config.grid), config.ell_grid)
         return config
 
 

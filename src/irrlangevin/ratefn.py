@@ -151,14 +151,8 @@ class GridDensity:
 
     @classmethod
     def uniform(cls, size: int, dims: int = 1) -> "GridDensity":
-        for name, value in (("size", size), ("dims", dims)):
-            try:
-                ok = int(value) == value and value >= 1
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-        return cls(np.ones((int(size),) * int(dims)))
+        size, dims = _grid_shape(size, dims)
+        return cls(np.ones((size,) * dims))
 
     # -- geometry ----------------------------------------------------------
 
@@ -178,8 +172,21 @@ class GridDensity:
         return float(np.mean(node_values * self.values))
 
 
+def _grid_shape(size, dims) -> tuple[int, int]:
+    """``size`` and ``dims`` as ints, each checked a positive integer."""
+    for name, value in (("size", size), ("dims", dims)):
+        try:
+            ok = int(value) == value and value >= 1
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(size), int(dims)
+
+
 def grid_points(size: int, dims: int) -> np.ndarray:
     """Uniform nodes x_j = 2 pi j / N per axis, shape (*grid, dims)."""
+    size, dims = _grid_shape(size, dims)
     axis = TWO_PI * np.arange(size) / size
     if dims == 1:
         return axis[:, None]

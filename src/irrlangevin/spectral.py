@@ -1,4 +1,4 @@
-"""Circle-generator analytics and observable-level rate functions.
+"""Periodic-generator analytics and observable-level rate functions.
 
 The flat circle with generator L = D Lap + delta d/dx is the one setting
 where everything is exactly computable: the spectrum is -D n^2 + i n delta,
@@ -10,9 +10,9 @@ the asymptotic variance of a zero-mean observable f = sum c_n e^{inx} is
 scaled cumulant generating function lambda(beta f) is the principal
 eigenvalue of L + beta f.  The module discretizes D Lap + C . grad with
 centered differences on a periodic grid (the circle, or the 2-torus with a
-drift field C), extracts lambda(beta f) as the Perron eigenvalue of the
-dense matrix with one ``np.linalg.eig`` call, and Legendre-transforms it
-into the rate function of the ergodic average.  Each Newton step of that
+drift field C), extracts lambda(beta f) on either as the Perron eigenvalue
+of the dense matrix with one ``np.linalg.eig`` call, and Legendre-transforms
+it into the rate function of the ergodic average.  Each Newton step of that
 transform makes one eigensolve: lambda' and lambda'' are exact, from the
 Perron pair and two bordered linear solves (Hellmann-Feynman).
 """
@@ -27,6 +27,8 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
+#: Most nodes of a dense generator; its matrix takes 128 MiB at the bound.
+MAX_DENSE_NODES = 64**2
 
 
 @dataclass(frozen=True)
@@ -90,14 +92,16 @@ def periodic_generator(drift_samples, diffusion: float) -> np.ndarray:
     """Dense centered-difference discretization of D Lap + C . grad on the
     periodic grid of ``drift_samples``: shape (1, N) on the circle or
     (2, N, N) on the 2-torus, with ``drift_samples[axis]`` the component of
-    C along that axis.  Nodes are numbered row-major."""
+    C along that axis.  Nodes are numbered row-major; at most
+    ``MAX_DENSE_NODES`` of them."""
     c = np.asarray(drift_samples, dtype=float)
     dims, shape = c.ndim - 1, c.shape[1:]
     if dims not in (1, 2) or c.shape[0] != dims or len(set(shape)) != 1:
         raise DimensionError("drift samples must have shape (1, N) or (2, N, N)")
     n = shape[0]
-    if n < 8:
-        raise ParameterError("grid size must be at least 8")
+    if not (8 <= n and n**dims <= MAX_DENSE_NODES):
+        raise ParameterError(f"grid size must be at least 8 and the node count at "
+                             f"most {MAX_DENSE_NODES}, got {' x '.join([str(n)] * dims)}")
     h = TWO_PI / n
     off, skew = diffusion * (1.0 / h**2), 1.0 / (2.0 * h)
     idx = np.arange(n**dims).reshape(shape)
@@ -111,16 +115,11 @@ def periodic_generator(drift_samples, diffusion: float) -> np.ndarray:
     return matrix
 
 
-def circle_operator(n: int, delta: float, diffusion: float) -> np.ndarray:
-    """Dense centered-difference discretization of D Lap + delta d/dx."""
-    return periodic_generator(np.full((1, n), float(delta)), diffusion)
-
-
 def generator_spectrum(n: int, delta: float, diffusion: float) -> np.ndarray:
     """Eigenvalues of the discretized circle generator, sorted by real part
     (descending).  The advection part only shifts imaginary parts: real
     parts are identical across delta."""
-    eig = np.linalg.eigvals(circle_operator(n, delta, diffusion))
+    eig = np.linalg.eigvals(periodic_generator(np.full((1, n), float(delta)), diffusion))
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 
@@ -168,54 +167,21 @@ def _perron(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(lam.real), w
 
 
-def principal_eigenvalue(f_samples: np.ndarray, beta: float, delta: float,
-                         diffusion: float, return_vector: bool = False):
-    """Principal (Feynman-Kac) eigenvalue of D Lap + delta d/dx + beta f.
-
-    ``f_samples`` are the observable values on the N-point grid that also
-    fixes the discretization.  The eigenvector, returned with
-    ``return_vector``, is normalized to max 1 and checked strictly positive.
-    """
-    f = np.asarray(f_samples, dtype=float)
-    if f.ndim != 1:
-        raise DimensionError("f_samples must be a 1-d array of grid values")
-    lam, vec = _perron(_add_potential(circle_operator(len(f), delta, diffusion), beta, f))
-    return (lam, vec) if return_vector else lam
-
-
-def torus_operator_2d(f_samples: np.ndarray, beta: float, drift_samples,
-                      diffusion: float) -> np.ndarray:
-    """Dense discretization of D Lap + C . grad + beta f on the 2-torus.
-
-    ``drift_samples`` has shape (2, N, N), or is None for C = 0.  Dense
-    solves only; N <= 64."""
-    f = np.asarray(f_samples, dtype=float)
-    if f.ndim != 2 or f.shape[0] != f.shape[1]:
-        raise DimensionError("2-d observable samples must be square")
-    n = f.shape[0]
-    if n > 64:
-        raise ParameterError("dense 2-d solves are limited to N <= 64 per axis")
-    c = np.zeros((2, n, n)) if drift_samples is None else np.asarray(drift_samples)
-    if c.shape != (2, n, n):
-        raise DimensionError(f"drift samples must have shape (2, {n}, {n})")
-    return _add_potential(periodic_generator(c, diffusion), beta, f.ravel())
-
-
-def principal_eigenvalue_2d(f_samples, beta: float, drift_samples,
-                            diffusion: float) -> float:
-    """Principal eigenvalue of the 2-torus generator (dense, N <= 64)."""
-    return _perron(torus_operator_2d(f_samples, beta, drift_samples, diffusion))[0]
-
-
 class ScaledCgf:
     """The map beta -> lambda(beta f) and its first two derivatives for one
-    (f, delta, D, N) context."""
+    (f, C, D) context: ``f_samples`` of shape (N,) or (N, N), and ``drift``
+    a scalar delta (C = delta along every axis) or C per node, an array
+    with f.ndim + 1 axes that broadcasts to (f.ndim, *f.shape)."""
 
-    def __init__(self, f_samples, delta: float, diffusion: float):
-        self.f = np.asarray(f_samples, dtype=float)
-        self.delta = float(delta)
-        self.diffusion = float(diffusion)
-        self._base = circle_operator(len(self.f), self.delta, self.diffusion)
+    def __init__(self, f_samples, drift, diffusion: float):
+        f = np.asarray(f_samples, dtype=float)
+        c = np.asarray(drift, dtype=float)
+        shape = (f.ndim, *f.shape)
+        if c.ndim and (c.ndim != len(shape)
+                       or any(a not in (1, b) for a, b in zip(c.shape, shape))):
+            raise DimensionError(f"drift of shape {c.shape} does not broadcast to {shape}")
+        self.f = f.ravel()
+        self._base = periodic_generator(np.broadcast_to(c, shape), diffusion)
 
     def value(self, beta: float) -> float:
         return _perron(_add_potential(self._base.copy(), float(beta), self.f))[0]
@@ -279,28 +245,33 @@ class ObservableRateCurve:
     ells: np.ndarray
     rates: np.ndarray
     betas: np.ndarray
-    delta: float
-    diffusion: float
 
 
-def observable_rate(f_samples, delta: float, diffusion: float,
-                    ell_grid) -> ObservableRateCurve:
-    """Legendre transform sup_beta {beta ell - lambda(beta f)} on a grid of
-    distinct levels, each strictly inside (min f, max f).
-
-    Convexity of the returned curve is asserted (second divided differences
-    >= -1e-8)."""
+def check_levels(f_samples, ell_grid) -> np.ndarray:
+    """The levels as an array, each checked distinct (``ParameterError``)
+    and strictly inside (min f, max f) (``DomainError``)."""
     f = np.asarray(f_samples, dtype=float)
     ells = np.asarray(ell_grid, dtype=float)
     if len(np.unique(ells)) != len(ells):
-        raise ParameterError("ell_grid levels must be distinct")
+        raise ParameterError(f"ell_grid levels must be distinct, got {ells.tolist()}")
     fmin, fmax = float(f.min()), float(f.max())
     for ell in ells:
         if not fmin < ell < fmax:
-            raise DomainError(
-                f"level {ell} outside the open range ({fmin:g}, {fmax:g}) of f"
-            )
-    scgf = ScaledCgf(f, delta, diffusion)
+            raise DomainError(f"ell_grid level {ell} outside the open range "
+                              f"({fmin:g}, {fmax:g}) of f")
+    return ells
+
+
+def observable_rate(f_samples, drift, diffusion: float,
+                    ell_grid) -> ObservableRateCurve:
+    """Legendre transform sup_beta {beta ell - lambda(beta f)} on a grid of
+    distinct levels, each strictly inside (min f, max f); ``f_samples`` and
+    ``drift`` as for ``ScaledCgf``.
+
+    Convexity of the returned curve is asserted (second divided differences
+    >= -1e-8)."""
+    ells = check_levels(f_samples, ell_grid)
+    scgf = ScaledCgf(f_samples, drift, diffusion)
     betas = np.empty(len(ells))
     rates = np.empty(len(ells))
     for i, ell in enumerate(ells):
@@ -314,10 +285,10 @@ def observable_rate(f_samples, delta: float, diffusion: float,
         right = (r[i + 1] - r[i]) / (e[i + 1] - e[i])
         if right - left < -1e-8:
             raise SolverError("rate curve failed the convexity check")
-    return ObservableRateCurve(ells, rates, betas, float(delta), float(diffusion))
+    return ObservableRateCurve(ells, rates, betas)
 
 
-def rate_curvature(f_samples, delta: float, diffusion: float) -> tuple[float, float]:
+def rate_curvature(f_samples, drift, diffusion: float) -> tuple[float, float]:
     """Quadratic coefficient of the rate function at the mean and the
     asymptotic variance it implies.
 
@@ -331,40 +302,10 @@ def rate_curvature(f_samples, delta: float, diffusion: float) -> tuple[float, fl
     h = 1e-3 * (float(f.max()) - float(f.min()))
     if h <= 0:
         raise ParameterError("observable is constant")
-    curve = observable_rate(f, delta, diffusion, [fbar - h, fbar, fbar + h])
+    curve = observable_rate(f, drift, diffusion, [fbar - h, fbar, fbar + h])
     second = (curve.rates[2] - 2.0 * curve.rates[1] + curve.rates[0]) / h**2
     curvature = 0.5 * second
     if curvature <= 0:
         raise SolverError("non-positive curvature at the mean")
     return curvature, 1.0 / (2.0 * curvature)
 
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Bundle of circle diagnostics for one (delta, D)."""
-
-    delta: float
-    diffusion: float
-    eigenvalues: np.ndarray
-    sigma2_fourier: float
-    sigma2_curvature: float
-    curvature_at_mean: float
-    rate_curve: ObservableRateCurve | None
-
-
-def spectral_report(observable: FourierObservable, delta: float, diffusion: float,
-                    n: int = 256, ell_grid=None) -> SpectralReport:
-    f = observable.samples(n)
-    curvature, implied = rate_curvature(f, delta, diffusion)
-    curve = None
-    if ell_grid is not None:
-        curve = observable_rate(f, delta, diffusion, ell_grid)
-    return SpectralReport(
-        delta=float(delta),
-        diffusion=float(diffusion),
-        eigenvalues=generator_spectrum(n, delta, diffusion)[: 2 * observable.n_max + 3],
-        sigma2_fourier=fourier_sigma2(observable, delta, diffusion),
-        sigma2_curvature=implied,
-        curvature_at_mean=curvature,
-        rate_curve=curve,
-    )

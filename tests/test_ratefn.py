@@ -58,11 +58,25 @@ def test_empty_density_is_parameter_error():
         GridDensity.uniform(0)
 
 
-@pytest.mark.parametrize("size, dims", [(-1, 1), (2.5, 1), ("8", 1), (8, 0), (8, -1),
-                                        (8, 1.5)])
+BAD_GRID_SHAPES = [(-1, 1), (2.5, 1), ("8", 1), (8, 0), (8, -1), (8, 1.5)]
+
+
+@pytest.mark.parametrize("size, dims", BAD_GRID_SHAPES)
 def test_uniform_density_rejects_a_bad_grid_shape(size, dims):
     with pytest.raises(ParameterError):
         GridDensity.uniform(size, dims)
+
+
+@pytest.mark.parametrize("size, dims", BAD_GRID_SHAPES)
+def test_grid_points_and_sampled_densities_reject_a_bad_grid_shape(size, dims):
+    # 2.5 nodes used to give 3 nodes at 2 pi j / 2.5, which is not a periodic grid
+    with pytest.raises(ParameterError):
+        grid_points(size, dims)
+    with pytest.raises(ParameterError):
+        GridDensity.from_function(lambda pts: np.ones(pts.shape[:-1]), size, dims)
+    if dims == 1:  # every case with dims 1 has a bad size
+        with pytest.raises(ParameterError):
+            GridDensity.from_potential(CIRCLE_U0, 0.5, size)
 
 
 def test_density_normalization():

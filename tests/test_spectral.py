@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from irrlangevin.errors import DomainError, ParameterError
+from irrlangevin.errors import DimensionError, DomainError, ParameterError
 from irrlangevin.spectral import (
     FourierObservable,
     ScaledCgf,
+    _perron,
     discrete_mode_eigenvalue,
     fourier_sigma2,
     generator_spectrum,
     observable_rate,
     periodic_generator,
-    principal_eigenvalue,
-    principal_eigenvalue_2d,
     rate_curvature,
-    spectral_report,
 )
 
 COS = FourierObservable.cosine()
@@ -22,6 +20,16 @@ COS = FourierObservable.cosine()
 
 def cos_samples(n=256):
     return COS.samples(n)
+
+
+def tilted_circle_generator(f, beta, delta, diffusion):
+    return periodic_generator(np.full((1, len(f)), delta), diffusion) + beta * np.diag(f)
+
+
+def x_only_torus(n, delta, b):
+    """cos x on the n x n torus (x is the row index) and the drift (delta, b)."""
+    f = np.repeat(cos_samples(n)[:, None], n, axis=1)
+    return f, np.stack([np.full((n, n), delta), np.full((n, n), b)])
 
 
 # ---------------------------------------------------------------------------
@@ -110,47 +118,51 @@ def test_real_parts_nonpositive():
 
 
 def test_principal_eigenvalue_beta_zero():
-    lam, vec = principal_eigenvalue(cos_samples(), 0.0, 3.0, 1.0,
-                                    return_vector=True)
+    lam, vec = _perron(tilted_circle_generator(cos_samples(), 0.0, 3.0, 1.0))
     assert lam == pytest.approx(0.0, abs=1e-10)
     assert np.max(np.abs(vec - 1.0)) <= 1e-8  # constant eigenvector
 
 
 def test_principal_eigenvalue_constant_shift():
-    lam = principal_eigenvalue(np.ones(128), 0.7, 2.0, 1.0)
+    lam = ScaledCgf(np.ones(128), 2.0, 1.0).value(0.7)
     assert lam == pytest.approx(0.7, abs=1e-10)
 
 
 def test_principal_eigenvalue_second_order_perturbation():
     # lambda(beta cos) = beta^2 sum |c_n|^2 / (D n^2) + O(beta^3) at delta=0
-    lam = principal_eigenvalue(cos_samples(), 0.1, 0.0, 1.0)
+    lam = ScaledCgf(cos_samples(), 0.0, 1.0).value(0.1)
     assert lam == pytest.approx(0.005, abs=5e-4)
 
 
 def test_principal_eigenvalue_perron_positivity():
     for beta in (-2.0, -0.5, 0.5, 2.0):
-        lam, vec = principal_eigenvalue(cos_samples(), beta, 1.0, 1.0,
-                                        return_vector=True)
+        lam, vec = _perron(tilted_circle_generator(cos_samples(), beta, 1.0, 1.0))
         assert vec.min() > 0.0
         assert vec.min() / vec.max() > 0.0
 
 
-def test_power_iteration_path_matches_dense():
-    f = cos_samples(600)  # agrees with grid 512 to the discretization error
-    lam = principal_eigenvalue(f, 0.3, 1.0, 1.0)
-    dense = principal_eigenvalue(cos_samples(512), 0.3, 1.0, 1.0)
-    assert lam == pytest.approx(dense, abs=1e-4)
+def test_principal_eigenvalue_grid_refinement_600_vs_512():
+    fine = ScaledCgf(cos_samples(600), 1.0, 1.0).value(0.3)
+    coarse = ScaledCgf(cos_samples(512), 1.0, 1.0).value(0.3)
+    assert fine == pytest.approx(coarse, abs=1e-4)  # the discretization error
 
 
 def test_principal_eigenvalue_2d():
     n = 12
     x = 2 * np.pi * np.arange(n) / n
     f2 = np.cos(x)[:, None] * np.ones(n)[None, :]
-    assert principal_eigenvalue_2d(f2, 0.0, None, 1.0) == pytest.approx(0.0, abs=1e-10)
-    assert principal_eigenvalue_2d(np.ones((n, n)), 0.7, None, 1.0) == \
+    assert ScaledCgf(f2, 0.0, 1.0).value(0.0) == pytest.approx(0.0, abs=1e-10)
+    assert ScaledCgf(np.ones((n, n)), 0.0, 1.0).value(0.7) == \
         pytest.approx(0.7, abs=1e-10)
     with pytest.raises(ParameterError):
-        principal_eigenvalue_2d(np.ones((80, 80)), 0.1, None, 1.0)
+        ScaledCgf(np.ones((80, 80)), 0.0, 1.0)
+
+
+def test_dense_bound_is_4096_nodes():
+    # checked before the matrix is allocated
+    for drift in (np.zeros((1, 4097)), np.zeros((2, 65, 65))):
+        with pytest.raises(ParameterError):
+            periodic_generator(drift, 1.0)
 
 
 def test_2d_constant_drift_spectrum_matches_mode_sums():
@@ -167,8 +179,41 @@ def test_2d_constant_drift_spectrum_matches_mode_sums():
     rows, cols = linear_sum_assignment(np.abs(eig[:, None] - exact[None, :]))
     assert np.max(np.abs(eig[rows] - exact[cols])) <= 1e-10
     # f = 1 only shifts the spectrum: lambda(beta) = beta
-    assert principal_eigenvalue_2d(np.ones((n, n)), 0.7, drift, D) == \
+    assert ScaledCgf(np.ones((n, n)), drift, D).value(0.7) == \
         pytest.approx(0.7, abs=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.0, 2.0])
+def test_torus_jet_matches_circle_for_an_x_only_observable(delta):
+    # f = cos x does not see the y axis, so neither does its Perron pair
+    f, drift = x_only_torus(16, delta, 0.7)
+    torus = ScaledCgf(f, drift, 1.0).jet(0.0)
+    circle = ScaledCgf(cos_samples(16), delta, 1.0).jet(0.0)
+    # lambda(0) and lambda'(0) = mean f are 0: compare them absolutely
+    np.testing.assert_allclose(torus[:2], circle[:2], rtol=0, atol=1e-10)
+    assert torus[2] == pytest.approx(circle[2], rel=1e-10)
+
+
+def test_torus_rate_curvature_matches_circle():
+    f, drift = x_only_torus(16, 2.0, 0.7)
+    torus = rate_curvature(f, drift, 1.0)
+    circle = rate_curvature(cos_samples(16), 2.0, 1.0)
+    np.testing.assert_allclose(torus, circle, rtol=1e-6)
+
+
+def test_scgf_rejects_a_drift_or_observable_of_the_wrong_shape():
+    n = 16
+    f2 = np.ones((n, n))
+    for drift in (np.zeros((1, n)), np.zeros((2, n)), np.zeros((3, n, n)),
+                  np.zeros((2, n, n + 1))):
+        with pytest.raises(DimensionError):
+            ScaledCgf(f2, drift, 1.0)
+    with pytest.raises(DimensionError):
+        ScaledCgf(np.ones(n), np.zeros((2, n)), 1.0)
+    with pytest.raises(DimensionError):
+        ScaledCgf(np.ones((8, 8, 8)), 1.0, 1.0)
+    with pytest.raises(DimensionError):
+        ScaledCgf(np.ones((8, 10)), 1.0, 1.0)  # not square
 
 
 def test_scgf_convex_in_beta():
@@ -261,11 +306,3 @@ def test_curvature_implies_sigma2():
 def test_curvature_sigma2_strictly_decreasing():
     implied = [rate_curvature(cos_samples(), d, 1.0)[1] for d in (0.0, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(implied, implied[1:]))
-
-
-def test_spectral_report_bundle():
-    report = spectral_report(COS, 2.0, 1.0, n=128, ell_grid=[-0.3, 0.3])
-    assert report.sigma2_fourier == pytest.approx(0.2)
-    assert report.sigma2_curvature == pytest.approx(0.2, rel=0.02)
-    assert report.rate_curve is not None
-    assert len(report.rate_curve.rates) == 2
