@@ -97,7 +97,7 @@ TABLE_SPECS = {
 _REQUIRED = object()
 #: Grid bounds: memory grows with the ratefn node count and, through its
 #: dense N x N operators, with the square of the spectral grid.  One dense
-#: eigensolve at N = 2048 took 13-16 s on 2 cores; a curvature needs 5-7.
+#: eigensolve at N = 2048 took 13-16 s on 2 cores; a curvature needs one.
 MAX_RATE_GRID_NODES = 2**20
 MAX_SPECTRAL_GRID = 2048
 #: Most float64 values (512 MiB) one delta group may hold in its recorded

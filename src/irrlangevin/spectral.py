@@ -12,9 +12,10 @@ eigenvalue of L + beta f.  The module discretizes D Lap + C . grad with
 centered differences on a periodic grid (the circle, or the 2-torus with a
 drift field C), extracts lambda(beta f) on either as the Perron eigenvalue
 of the dense matrix with one ``np.linalg.eig`` call, and Legendre-transforms
-it into the rate function of the ergodic average.  Each Newton step of that
-transform makes one eigensolve: lambda' and lambda'' are exact, from the
-Perron pair and two bordered linear solves (Hellmann-Feynman).
+it into the rate function of the ergodic average.  lambda' and lambda'' are
+exact, from the Perron pair and two bordered linear solves (Hellmann-Feynman),
+so a Newton step of that transform is one eigensolve, and so is the rate
+curvature at the mean pi(f) = lambda'(0): kappa = 1/(2 lambda''(0)).
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ def periodic_generator(drift_samples, diffusion: float) -> np.ndarray:
     if not (8 <= n and n**dims <= MAX_DENSE_NODES):
         raise ParameterError(f"grid size must be at least 8 and the node count at "
                              f"most {MAX_DENSE_NODES}, got {' x '.join([str(n)] * dims)}")
+    if not np.isfinite(c).all():
+        raise ParameterError("drift samples must be finite")
+    if not (math.isfinite(diffusion) and diffusion > 0):
+        raise ParameterError(f"diffusion must be finite and positive, got {diffusion}")
     h = TWO_PI / n
     off, skew = diffusion * (1.0 / h**2), 1.0 / (2.0 * h)
     idx = np.arange(n**dims).reshape(shape)
@@ -133,6 +138,15 @@ def discrete_mode_eigenvalue(n: int, mode: int, delta: float,
         -(2.0 * diffusion / h**2) * (1.0 - math.cos(mode * h)),
         (delta / h) * math.sin(mode * h),
     )
+
+
+def _observable(f_samples) -> np.ndarray:
+    """``f_samples`` as a float array, checked nonempty and finite
+    (``ParameterError``)."""
+    f = np.asarray(f_samples, dtype=float)
+    if not (f.size and np.isfinite(f).all()):
+        raise ParameterError("observable samples must be nonempty and finite")
+    return f
 
 
 def _add_potential(matrix: np.ndarray, beta: float, f: np.ndarray) -> np.ndarray:
@@ -174,7 +188,7 @@ class ScaledCgf:
     with f.ndim + 1 axes that broadcasts to (f.ndim, *f.shape)."""
 
     def __init__(self, f_samples, drift, diffusion: float):
-        f = np.asarray(f_samples, dtype=float)
+        f = _observable(f_samples)
         c = np.asarray(drift, dtype=float)
         shape = (f.ndim, *f.shape)
         if c.ndim and (c.ndim != len(shape)
@@ -249,8 +263,9 @@ class ObservableRateCurve:
 
 def check_levels(f_samples, ell_grid) -> np.ndarray:
     """The levels as an array, each checked distinct (``ParameterError``)
-    and strictly inside (min f, max f) (``DomainError``)."""
-    f = np.asarray(f_samples, dtype=float)
+    and strictly inside (min f, max f) (``DomainError``) of a nonempty,
+    finite f (``ParameterError``)."""
+    f = _observable(f_samples)
     ells = np.asarray(ell_grid, dtype=float)
     if len(np.unique(ells)) != len(ells):
         raise ParameterError(f"ell_grid levels must be distinct, got {ells.tolist()}")
@@ -290,22 +305,18 @@ def observable_rate(f_samples, drift, diffusion: float,
 
 def rate_curvature(f_samples, drift, diffusion: float) -> tuple[float, float]:
     """Quadratic coefficient of the rate function at the mean and the
-    asymptotic variance it implies.
+    asymptotic variance it implies; ``f_samples`` and ``drift`` as for
+    ``ScaledCgf``.
 
     ``curvature`` is the growth coefficient kappa in
-    I(ell) ~ kappa (ell - fbar)^2 near the mean (half the literal second
-    derivative); with this normalization kappa = 1/(2 sigma^2), so the
-    implied variance is 1/(2 kappa).  Central differences with level step
-    1e-3 * (max f - min f)."""
-    f = np.asarray(f_samples, dtype=float)
-    fbar = float(f.mean())
-    h = 1e-3 * (float(f.max()) - float(f.min()))
-    if h <= 0:
+    I(ell) ~ kappa (ell - pi(f))^2 near the mean pi(f) = lambda'(0) (half the
+    literal second derivative).  The Legendre identity
+    I''(lambda'(0)) = 1/lambda''(0) gives kappa = 1/(2 lambda''(0)) and the
+    implied variance lambda''(0), from one jet at beta = 0."""
+    scgf = ScaledCgf(f_samples, drift, diffusion)
+    if np.ptp(scgf.f) == 0:
         raise ParameterError("observable is constant")
-    curve = observable_rate(f, drift, diffusion, [fbar - h, fbar, fbar + h])
-    second = (curve.rates[2] - 2.0 * curve.rates[1] + curve.rates[0]) / h**2
-    curvature = 0.5 * second
-    if curvature <= 0:
+    sigma2 = scgf.jet(0.0)[2]
+    if not sigma2 > 0:
         raise SolverError("non-positive curvature at the mean")
-    return curvature, 1.0 / (2.0 * curvature)
-
+    return 0.5 / sigma2, sigma2

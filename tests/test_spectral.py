@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from irrlangevin import spectral
 from irrlangevin.errors import DimensionError, DomainError, ParameterError
 from irrlangevin.spectral import (
     FourierObservable,
     ScaledCgf,
     _perron,
+    check_levels,
     discrete_mode_eigenvalue,
     fourier_sigma2,
     generator_spectrum,
@@ -30,6 +34,13 @@ def x_only_torus(n, delta, b):
     """cos x on the n x n torus (x is the row index) and the drift (delta, b)."""
     f = np.repeat(cos_samples(n)[:, None], n, axis=1)
     return f, np.stack([np.full((n, n), delta), np.full((n, n), b)])
+
+
+def forbid_eigensolves(monkeypatch):
+    def fail(*args):
+        raise AssertionError("eigensolve reached")
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +269,73 @@ def test_rate_curvature_eigensolve_budget(monkeypatch, delta):
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    for name in ("observable_rate", "_solve_tilt"):
+        monkeypatch.setattr(spectral, name, lambda *a, name=name: pytest.fail(name))
     rate_curvature(cos_samples(64), delta, 1.0)
-    assert 0 < len(calls) <= 9
+    assert len(calls) == 1
+
+
+def legendre_cases():
+    x = cos_samples(64)
+    sin = np.roll(x, 16)  # sin on 64 nodes: cos shifted by a quarter period
+    n = 16
+    t = 2 * np.pi * np.arange(n) / n
+    X, Y = np.meshgrid(t, t, indexing="ij")
+    cases = {f"circle-sin-{a:g}": (x, a * sin[None, :]) for a in (0.5, 1.5)}
+    cases["circle-constant-2"] = (x, 2.0)
+    # div C != 0, so the invariant law on the torus is not uniform either
+    for a in (0.75, 1.5):
+        cases[f"torus-{a:g}"] = (np.cos(X) + 0.5 * np.sin(Y), a * np.stack(
+            [np.sin(X) + 0.5 * np.cos(Y), np.sin(Y) + np.cos(X)]))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(legendre_cases()))
+def test_rate_curvature_is_the_legendre_curvature_at_lambda_prime(case):
+    # I''(lambda'(0)) = 1/lambda''(0), by a centred second difference of the
+    # rates about the invariant mean pi(f) = lambda'(0)
+    f, drift = legendre_cases()[case]
+    mean = ScaledCgf(f, drift, 1.0).jet(0.0)[1]
+    h = 2e-3
+    rates = observable_rate(f, drift, 1.0, [mean - h, mean, mean + h]).rates
+    kappa_fd = 0.5 * (rates[0] - 2.0 * rates[1] + rates[2]) / h**2
+    kappa, sigma2 = rate_curvature(f, drift, 1.0)
+    assert sigma2 == pytest.approx(1.0 / (2.0 * kappa_fd), rel=1e-4)
+    assert kappa == pytest.approx(1.0 / (2.0 * sigma2), rel=1e-12)
+
+
+@pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_diffusion_is_a_parameter_error(monkeypatch, diffusion):
+    forbid_eigensolves(monkeypatch)
+    with pytest.raises(ParameterError, match="diffusion"):
+        periodic_generator(np.ones((1, 16)), diffusion)
+    with pytest.raises(ParameterError, match="diffusion"):
+        generator_spectrum(16, 1.0, diffusion)
+    with pytest.raises(ParameterError, match="diffusion"):
+        rate_curvature(cos_samples(16), 1.0, diffusion)
+
+
+def test_nonfinite_and_empty_inputs_are_parameter_errors(monkeypatch):
+    forbid_eigensolves(monkeypatch)
+    f = cos_samples(16)
+    bad_f = f.copy()
+    bad_f[3] = np.nan
+    calls = [
+        lambda: ScaledCgf(f, np.nan, 1.0),
+        lambda: ScaledCgf(f, np.where(np.arange(16) == 5, np.inf, 1.0)[None, :], 1.0),
+        lambda: ScaledCgf(bad_f, 1.0, 1.0),
+        lambda: rate_curvature(bad_f, 1.0, 1.0),
+        lambda: rate_curvature([], 1.0, 1.0),
+        lambda: observable_rate([], 1.0, 1.0, [0.0]),
+        lambda: check_levels([], [0.0]),
+        lambda: check_levels(bad_f, [0.0]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ParameterError) as raised:
+                call()
+            assert raised.type is ParameterError  # not a DomainError
 
 
 # ---------------------------------------------------------------------------
