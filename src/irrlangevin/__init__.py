@@ -54,12 +54,10 @@ from .rng import NORMAL_ALGORITHM, NormalStream
 from .sampler import (
     SdeConfig,
     Trajectory,
-    em_step,
     load_trajectory,
     save_trajectory,
     simulate,
     simulate_cells,
-    simulate_series,
 )
 from .spectral import (
     FourierObservable,

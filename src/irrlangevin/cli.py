@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .drift import J2, make_constant_drift, make_rotational_drift
+from .drift import J2, check_invariance, make_constant_drift, make_rotational_drift
 from .errors import ConfigError, ParameterError, PropagationError, SolverError
 from .estimators import (
     asymptotic_variance_estimate, batch_count_schedule, batch_means, get_observable,
@@ -169,7 +169,11 @@ class _Fields:
 
 def build_drift(kind: str, potential, delta: float, vector=None):
     """The drift a config names: ``rotational`` delta J2 grad U,
-    ``constant`` delta * vector (all ones by default), or None for ``none``."""
+    ``constant`` delta * vector (all ones by default), or None for ``none``.
+
+    A constant drift preserves the Gibbs law only where U is flat along its
+    vector, so it is rejected unless check_invariance finds c0 . grad U zero
+    at a fixed set of points."""
     if kind == "rotational":
         return make_rotational_drift(J2, potential, delta)
     if kind == "constant":
@@ -177,7 +181,14 @@ def build_drift(kind: str, potential, delta: float, vector=None):
         _check(len(vector) == potential.dimension,
                f"drift.vector has {len(vector)} entries, potential "
                f"{potential.name!r} has dimension {potential.dimension}")
-        return make_constant_drift(vector, delta)
+        drift = make_constant_drift(vector, delta)
+        points = np.random.default_rng(0).uniform(-4.0, 4.0, (4, potential.dimension))
+        defect = check_invariance(drift.base_eval, potential, points)
+        _check(defect <= 1e-6 * (1.0 + float(np.max(np.abs(drift.vector)))),
+               f"constant drift {list(vector)} does not preserve the Gibbs law of "
+               f"{potential.name!r}: U is not flat along it (|2 c0 . grad U| reaches "
+               f"{defect:.3g})")
+        return drift
     return None
 
 
@@ -243,15 +254,18 @@ class ExperimentConfig:
             get_observable(self.observable)
             if self.initial is None:
                 object.__setattr__(self, "initial", (0.0,) * potential.dimension)
+            # sized before any drift is built: checking a constant drift costs
+            # O(dims^2)
+            n_steps, cells, dims = (self.sde(potential, 0.0).n_steps, len(self.seeds),
+                                    potential.dimension)
             for delta in self.deltas:
                 _check(self.substeps != "auto" or math.isfinite(delta * delta * self.dt),
                        f"delta {delta} is too large for automatic substeps")
-                sde = self.sde(potential, delta)
-                n_steps, cells, dims = sde.n_steps, len(self.seeds), potential.dimension
                 values = max((n_steps + 1) * max(cells, dims),
-                             cells * max(sde.substeps, NOISE_CHUNK) * dims)
+                             cells * max(self.substeps_at(delta), NOISE_CHUNK) * dims)
                 _check(values <= MAX_SAMPLER_VALUES, f"delta {delta} needs {values} "
                        f"values in one series or noise chunk, over {MAX_SAMPLER_VALUES}")
+                self.sde(potential, delta)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "checkpoints", self.checkpoints or (self.horizon,))
@@ -269,21 +283,22 @@ class ExperimentConfig:
     def build_potential(self):
         return get_potential(self.potential, **self.potential_params)
 
+    def substeps_at(self, delta: float) -> int:
+        return stable_substeps(delta, self.dt) if self.substeps == "auto" \
+            else self.substeps
+
     def sde(self, potential, delta: float, seed: int = 0) -> SdeConfig:
         """One trajectory at strength ``delta``; SdeConfig checks the
         diffusion, the substep count and the initial state's dimension."""
         # delta = 0 is exactly reversible dynamics for every recipe
         drift = None if delta == 0.0 else build_drift(self.drift_kind, potential, delta)
-        substeps = stable_substeps(delta, self.dt) if self.substeps == "auto" \
-            else self.substeps
         return SdeConfig(potential, drift, self.diffusion, self.dt, self.horizon,
-                         self.initial, seed, substeps=substeps)
+                         self.initial, seed, substeps=self.substeps_at(delta))
 
     def substeps_by_delta(self) -> list[dict]:
         """The integration substeps of each delta group, as ``sde`` resolves
         them for the run; manifest.json records them."""
-        potential = self.build_potential()
-        return [{"delta": delta, "substeps": self.sde(potential, delta).substeps}
+        return [{"delta": delta, "substeps": self.substeps_at(delta)}
                 for delta in self.deltas]
 
     def to_dict(self) -> dict:
@@ -477,8 +492,6 @@ class CellComparison:
 
 @dataclass(frozen=True)
 class TableComparison:
-    table_id: int
-    scale: float
     cells: dict
     config: ExperimentConfig
     sampler_timing: list
@@ -532,7 +545,7 @@ def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
             ok = meas_ratio >= ref_ratio / 3.0
             cells[(delta, t)] = CellComparison(reference, measured, ref_ratio,
                                                meas_ratio, ok)
-    return TableComparison(table_id, scale, cells, config, sampler_timing), rows
+    return TableComparison(cells, config, sampler_timing), rows
 
 
 # ---------------------------------------------------------------------------

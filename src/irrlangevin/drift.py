@@ -56,10 +56,6 @@ class RotationalDrift:
     def eval(self, x) -> np.ndarray:
         return self.delta * self.base_eval(x)
 
-    @property
-    def dimension(self) -> int:
-        return self.potential.dimension
-
 
 @dataclass(frozen=True)
 class ConstantDrift:
@@ -81,10 +77,6 @@ class ConstantDrift:
 
     def eval(self, x) -> np.ndarray:
         return self.delta * self.base_eval(x)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vector)
 
 
 def make_rotational_drift(S, potential: PotentialField, delta: float) -> RotationalDrift:

@@ -87,26 +87,26 @@ class BatchMeansReport:
     s2m: float
     ci_lower: float
     ci_upper: float
-    m: int
-    alpha: float
-    t: float
-    burn_in: float
-    dt: float
-
-    @property
-    def ci_width(self) -> float:
-        return self.ci_upper - self.ci_lower
+    block_time: float  # dt times the samples per batch
 
     def covers(self, value: float) -> bool:
         return self.ci_lower <= value <= self.ci_upper
 
-    @property
-    def block_time(self) -> float:
-        return (self.t - self.burn_in) / self.m
-
     def variance_scaled(self) -> float:
-        """(t_eff / m) * s2m, the batch-scaled asymptotic-variance estimate."""
+        """block_time * s2m, the batch-scaled asymptotic-variance estimate."""
         return self.block_time * self.s2m
+
+
+def _batches(w: Array, m: int, dt: float) -> tuple[Array, float]:
+    """The means of m contiguous batches of the window w, a trailing
+    remainder that does not fill a batch truncated, and the time length
+    block * dt of each batch."""
+    block = len(w) // m
+    if block < 1:
+        raise ParameterError(
+            f"series too short: {len(w)} post-burn-in samples for m={m} batches"
+        )
+    return w[: m * block].reshape(m, block).mean(axis=1), block * dt
 
 
 def batch_means(values, m: int, alpha: float, dt: float,
@@ -120,29 +120,17 @@ def batch_means(values, m: int, alpha: float, dt: float,
         raise ParameterError("batch means needs m >= 2")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
-    w = _window(values, dt, burn_in)
-    block = len(w) // m
-    if block < 1:
-        raise ParameterError(
-            f"series too short: {len(w)} post-burn-in samples for m={m} batches"
-        )
-    w = w[: m * block]
-    means = w.reshape(m, block).mean(axis=1)
+    means, block_time = _batches(_window(values, dt, burn_in), m, dt)
     estimate = float(means.mean())
     s2m = float(means.var(ddof=1))
     half = t_quantile(alpha / 2.0, m - 1) * math.sqrt(s2m / m)
-    horizon = (len(values) - 1) * dt
     return BatchMeansReport(
         estimate=estimate,
         batch_means=means,
         s2m=s2m,
         ci_lower=estimate - half,
         ci_upper=estimate + half,
-        m=m,
-        alpha=alpha,
-        t=horizon,
-        burn_in=burn_in,
-        dt=dt,
+        block_time=block_time,
     )
 
 
@@ -170,7 +158,8 @@ def asymptotic_variance_estimate(values, dt: float, m: int | None = None,
                                  method: str = "batch_scaled") -> float:
     """Estimate sigma^2 = 2 * integral of the autocovariance.
 
-    batch_scaled: (t_eff/m) * s2m, consistent for any mixing dynamics.
+    batch_scaled: (block * dt) * s2m over the m batches of ``block`` samples
+    that ``batch_means`` averages, consistent for any mixing dynamics.
     autocov: 2 dt * sum_k w_k c(k dt) with weights w_0 = 1/2 and w_k = 1 up
     to the lag before the first sign change of c (initial-positive-sequence
     truncation).  The truncation overestimates for oscillatory
@@ -183,9 +172,8 @@ def asymptotic_variance_estimate(values, dt: float, m: int | None = None,
     if len(w) < 2 * m:
         raise ParameterError("series too short for an asymptotic-variance estimate")
     if method == "batch_scaled":
-        block = len(w) // m
-        means = w[: m * block].reshape(m, block).mean(axis=1)
-        return float(block * dt * means.var(ddof=1))
+        means, block_time = _batches(w, m, dt)
+        return float(block_time * means.var(ddof=1))
     if method == "autocov":
         acov = _autocovariance(w)
         negative = np.nonzero(acov[1:] <= 0.0)[0]

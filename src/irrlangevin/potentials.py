@@ -189,25 +189,15 @@ def _torus_zero(dim: int = 1) -> PotentialField:
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """Named builder so potentials are addressable from CLI configs."""
-
-    name: str
-    builder: Callable[..., PotentialField]
-
-
-CATALOG: dict[str, CatalogEntry] = {
-    entry.name: entry
-    for entry in (
-        CatalogEntry("quadratic", _quadratic),
-        CatalogEntry("bimodal1", _bimodal1),
-        CatalogEntry("bimodal2", _bimodal2),
-        CatalogEntry("threewell", _threewell),
-        CatalogEntry("torus-cosine", _torus_cosine),
-        CatalogEntry("torus-cosine-1d", _torus_cosine_1d),
-        CatalogEntry("torus-zero", _torus_zero),
-    )
+#: Builders by name, so potentials are addressable from CLI configs.
+CATALOG: dict[str, Callable[..., PotentialField]] = {
+    "quadratic": _quadratic,
+    "bimodal1": _bimodal1,
+    "bimodal2": _bimodal2,
+    "threewell": _threewell,
+    "torus-cosine": _torus_cosine,
+    "torus-cosine-1d": _torus_cosine_1d,
+    "torus-zero": _torus_zero,
 }
 
 
@@ -216,12 +206,12 @@ def get_potential(name: str, /, **params) -> PotentialField:
     (an unknown keyword, a wrong type, a value out of range) raise
     ParameterError."""
     try:
-        entry = CATALOG[name]
+        builder = CATALOG[name]
     except KeyError:
         raise ParameterError(
             f"unknown potential {name!r}; available: {sorted(CATALOG)}"
         ) from None
     try:
-        return entry.builder(**params)
+        return builder(**params)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"potential {name!r}: {exc}") from exc

@@ -91,6 +91,11 @@ def spectral_divergence(flux: np.ndarray) -> np.ndarray:
 # grid densities
 
 
+def _check_diffusion(diffusion: float) -> None:
+    if not (math.isfinite(diffusion) and diffusion > 0):
+        raise ParameterError(f"diffusion must be finite and positive, got {diffusion}")
+
+
 def _check_positive(values: np.ndarray) -> None:
     if values.size == 0 or not np.all(np.isfinite(values)) or values.min() <= 0.0:
         raise ParameterError("density must be nonempty, finite and strictly positive")
@@ -140,8 +145,7 @@ class GridDensity:
     def from_potential(cls, potential: PotentialField, diffusion: float,
                        size: int, shift=None) -> "GridDensity":
         """Gibbs density exp(-U((x) - shift)/D), normalized on the grid."""
-        if diffusion <= 0:
-            raise ParameterError("diffusion must be positive")
+        _check_diffusion(diffusion)
         pts = grid_points(size, potential.dimension)
         if shift is not None:
             pts = pts - np.asarray(shift, dtype=float)
@@ -196,12 +200,9 @@ def grid_points(size: int, dims: int) -> np.ndarray:
     raise DimensionError("grids support 1 or 2 dimensions")
 
 
-def field_on_grid(vector_field, density_or_size, dims: int | None = None) -> np.ndarray:
-    """Sample a vector field on the grid, returning shape (d, *grid)."""
-    if isinstance(density_or_size, GridDensity):
-        pts = density_or_size.points()
-    else:
-        pts = grid_points(int(density_or_size), int(dims))
+def field_on_grid(vector_field, p: GridDensity) -> np.ndarray:
+    """Sample a vector field on the grid of ``p``, returning shape (d, *grid)."""
+    pts = p.points()
     vals = vector_field.eval(pts) if hasattr(vector_field, "eval") else vector_field(pts)
     return np.moveaxis(np.asarray(vals, dtype=float), -1, 0)
 
@@ -334,12 +335,6 @@ class RateReport:
     quadratic_residual: float | None = None
 
 
-def _grad_potential_on_grid(potential: PotentialField, p: GridDensity) -> np.ndarray:
-    if potential.dimension != p.dims:
-        raise DimensionError("potential dimension does not match the grid")
-    return np.moveaxis(potential.grad(p.points()), -1, 0)
-
-
 def _energy(p: GridDensity, g: np.ndarray, diffusion: float) -> float:
     """(1/(4D)) int |g|^2 dmu for a vector grid field g of shape (d, *grid)."""
     return p.integrate(np.sum(g**2, axis=0)) / (4.0 * diffusion)
@@ -356,9 +351,8 @@ def _gauge_energy(p: GridDensity, b: np.ndarray, diffusion: float):
 def rate_reversible(p: GridDensity, potential: PotentialField,
                     diffusion: float) -> float:
     """Explicit reversible rate (1/(4D)) int |D grad p/p + grad U|^2 dmu."""
-    if diffusion <= 0:
-        raise ParameterError("diffusion must be positive")
-    gu = _grad_potential_on_grid(potential, p)
+    _check_diffusion(diffusion)
+    gu = field_on_grid(potential.grad, p)
     return _energy(p, diffusion * spectral_gradient(p.values) / p.values + gu, diffusion)
 
 
@@ -372,9 +366,8 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
     decomposition, reporting the mismatch.  Warns when C breaks the
     invariance condition div C = 2 C . grad U on a sample of the nodes.
     """
-    if diffusion <= 0:
-        raise ParameterError("diffusion must be positive")
-    gu = _grad_potential_on_grid(potential, p)
+    _check_diffusion(diffusion)
+    gu = field_on_grid(potential.grad, p)
     c = field_on_grid(drift, p)
     pts = p.points().reshape(-1, p.dims)
     defect = check_invariance(drift, potential, pts[:: max(1, len(pts) // 2048)])
@@ -422,8 +415,7 @@ def quadratic_coefficient(p: GridDensity, drift, diffusion: float = 0.5) -> floa
 
     The gauge equation does not involve the potential, so K depends only on
     the density and the drift recipe."""
-    if diffusion <= 0:
-        raise ParameterError("diffusion must be positive")
+    _check_diffusion(diffusion)
     return _gauge_energy(p, field_on_grid(drift.base_eval, p), diffusion)[2]
 
 

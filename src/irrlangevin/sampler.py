@@ -9,8 +9,8 @@ shared state.
 The batch driver ``simulate_cells`` advances many (drift strength, stream)
 cells of a shared potential in lockstep, which is how table/sweep runs are
 executed; ``simulate`` is the single-trajectory wrapper around it.  One
-update rule, ``_em_path``, serves every caller: the lockstep chunk loop, the
-replay that locates a blow-up, and the single-step ``em_step``.
+update rule, ``_em_path``, serves both the lockstep chunk loop and the
+replay that locates a blow-up.
 
 Every supported drift enters the update in one affine form,
 C(Z) - grad U(Z) = grad U(Z) M + c (``_affine_drift``): no drift (M = -I),
@@ -105,7 +105,6 @@ class Trajectory:
 
     states: np.ndarray  # (n_steps + 1, d)
     config: SdeConfig
-    rng_algorithm: str = NORMAL_ALGORITHM
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -200,28 +199,6 @@ def _em_path(states, grad_fn, drift, dt: float, substeps: int, w):
         yield states
 
 
-def em_step(state, potential: PotentialField, drift, diffusion: float, dt: float,
-            noise) -> np.ndarray:
-    """One Euler-Maruyama update: state + b dt + sqrt(2 D dt) * noise."""
-    _check_step(diffusion, dt, 1)
-    s = np.asarray(state, dtype=float)
-    w = np.asarray(noise, dtype=float)
-    if w.shape != s.shape:
-        raise DimensionError("noise shape must match state shape")
-    if not np.all(np.isfinite(s)) or not np.all(np.isfinite(w)):
-        bad = np.argwhere(~(np.isfinite(s) & np.isfinite(w)))
-        raise PropagationError(f"non-finite input at position {bad[0].tolist()}")
-    affine = _affine_drift(potential, [drift])
-    # a blow-up is reported below, as in ``simulate_cells``
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = next(_em_path(s[None], potential.grad, affine, dt, 1,
-                            math.sqrt(2.0 * diffusion * dt) * w[None, None]))[0]
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))
-        raise PropagationError(f"state became non-finite at position {bad[0].tolist()}")
-    return out
-
-
 def simulate_cells(
     potential: PotentialField,
     drifts: Sequence,
@@ -298,23 +275,13 @@ def simulate_cells(
     return out
 
 
-def _simulate_one(config: SdeConfig, observable, chunk_size: int) -> np.ndarray:
-    """The one-cell ``simulate_cells`` call behind ``simulate`` and ``simulate_series``."""
-    return simulate_cells(
-        config.potential, [config.drift], config.diffusion, config.dt, config.n_steps,
-        [config.initial], [NormalStream(config.seed, config.stream_id)],
-        observable=observable, substeps=config.substeps, chunk_size=chunk_size)[0]
-
-
 def simulate(config: SdeConfig, chunk_size: int = NOISE_CHUNK) -> Trajectory:
     """Integrate one trajectory; identical bytes for identical config."""
-    return Trajectory(states=_simulate_one(config, None, chunk_size), config=config)
-
-
-def simulate_series(config: SdeConfig, observable: Callable[[np.ndarray], np.ndarray],
-                    chunk_size: int = NOISE_CHUNK) -> np.ndarray:
-    """Stream one trajectory through an observable without storing states."""
-    return _simulate_one(config, observable, chunk_size)
+    states = simulate_cells(
+        config.potential, [config.drift], config.diffusion, config.dt, config.n_steps,
+        [config.initial], [NormalStream(config.seed, config.stream_id)],
+        substeps=config.substeps, chunk_size=chunk_size)[0]
+    return Trajectory(states=states, config=config)
 
 
 def stable_substeps(delta: float, dt: float) -> int:
@@ -334,7 +301,7 @@ def save_trajectory(trajectory: Trajectory, path) -> None:
     header = {
         "format": TRAJECTORY_FORMAT,
         "version": TRAJECTORY_VERSION,
-        "rng": trajectory.rng_algorithm,
+        "rng": NORMAL_ALGORITHM,
         "config": trajectory.config.to_dict(),
     }
     with open(path, "wb") as fh:

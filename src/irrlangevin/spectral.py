@@ -30,6 +30,11 @@ from .errors import DimensionError, DomainError, ParameterError, SolverError
 TWO_PI = 2.0 * math.pi
 #: Most nodes of a dense generator; its matrix takes 128 MiB at the bound.
 MAX_DENSE_NODES = 64**2
+#: The tilt solve's initial bracket for beta, its tolerance on
+#: lambda'(beta) - ell (relative to max(1, |ell|)) and its step budget.
+TILT_BRACKET = (-50.0, 50.0)
+TILT_TOL = 1e-8
+TILT_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,10 @@ class FourierObservable:
 def fourier_sigma2(observable: FourierObservable, delta: float,
                    diffusion: float) -> float:
     """Exact asymptotic variance sum over modes for the circle generator."""
-    if diffusion <= 0:
-        raise ParameterError("diffusion must be positive")
+    if not math.isfinite(delta):
+        raise ParameterError(f"delta must be finite, got {delta}")
+    if not (math.isfinite(diffusion) and diffusion > 0):
+        raise ParameterError(f"diffusion must be finite and positive, got {diffusion}")
     c = observable.coefficients
     n_max = observable.n_max
     total = 0.0
@@ -217,20 +224,19 @@ class ScaledCgf:
         return lam, slope, 2.0 * float(left @ ((self.f - slope) * dr))
 
 
-def _solve_tilt(scgf: ScaledCgf, ell: float, bracket: tuple[float, float] = (-50.0, 50.0),
-                tol: float = 1e-8, max_iter: int = 80) -> tuple[float, float]:
+def _solve_tilt(scgf: ScaledCgf, ell: float) -> tuple[float, float]:
     """Find beta with lambda'(beta) = ell and return (beta, lambda(beta));
     Newton with bisection fallback.
 
     lambda is smooth and strictly convex, so lambda' is increasing and the
     root is unique whenever ell lies in the closure of lambda'(R)."""
-    lo, hi = bracket
+    lo, hi = TILT_BRACKET
     beta = 0.0
     glo = ghi = None
-    for _ in range(max_iter):
+    for _ in range(TILT_MAX_ITER):
         lam, slope, curv = scgf.jet(beta)
         g = slope - ell
-        if abs(g) <= tol * max(1.0, abs(ell)):
+        if abs(g) <= TILT_TOL * max(1.0, abs(ell)):
             return beta, lam
         if g < 0:
             lo, glo = max(lo, beta), g

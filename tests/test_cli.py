@@ -349,6 +349,15 @@ BAD_INPUTS = {
     "series_too_long": ("estimate", ou_config(horizon=1e12), []),
     "noise_chunk_too_large": (
         "estimate", ou_config(drift={"kind": "rotational", "deltas": [1e5]}), []),
+    "constant_drift_on_quadratic": (
+        "estimate", ou_config(drift={"kind": "constant", "deltas": [0, 2]},
+                              diffusion=0.5, horizon=200.0), []),
+    "constant_drift_on_bimodal1": (
+        "estimate", ou_config(potential="bimodal1",
+                              drift={"kind": "constant", "deltas": [1.0]}), []),
+    "ratefn_constant_drift_on_bimodal1": (
+        "ratefn", rate_config(potential="bimodal1",
+                              drift={"kind": "constant", "vector": [0.0, 1.0]}), []),
 }
 
 
@@ -360,6 +369,25 @@ def test_bad_input_exits_2_before_any_solve(case, tmp_path, solvers, capsys):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
     assert solvers == []
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+FLAT_CONSTANT_DRIFTS = {
+    "torus_zero": ("estimate", ou_config(
+        potential={"name": "torus-zero", "params": {"dim": 2}}, horizon=2.0, burn_in=0.5,
+        drift={"kind": "constant", "deltas": [0.0, 2.0]})),
+    "ratefn_torus_cosine_a0": ("ratefn", rate_config(
+        potential={"name": "torus-cosine", "params": {"a": 0.0, "b": 0.5}},
+        drift={"kind": "constant", "vector": [1.0, 0.0], "delta": 1.0})),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(FLAT_CONSTANT_DRIFTS))
+def test_constant_drift_along_a_flat_direction_runs(case, tmp_path):
+    # U does not vary along the vector, so the drift keeps the Gibbs law
+    command, doc = FLAT_CONSTANT_DRIFTS[case]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

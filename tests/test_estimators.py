@@ -102,6 +102,19 @@ def test_batch_means_affine_equivariance(a, b, seed):
     assert mapped.ci_upper == pytest.approx(a + b * base.ci_upper, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("t, burn_in, m", [
+    (8.85, 0.1875, 10),  # the last table-1 checkpoint at horizon scale 0.03
+    (50.0, 5.0, batch_count_schedule(50.0)),
+])
+def test_batch_means_and_batch_scaled_estimate_agree(t, burn_in, m):
+    # both scale s2m by the time length of the batches actually averaged
+    dt = 1e-3
+    values = np.random.default_rng(3).normal(size=round(t / dt) + 1)
+    report = batch_means(values, m, 0.05, dt, burn_in)
+    assert report.variance_scaled() == asymptotic_variance_estimate(
+        values, dt, m=m, burn_in=burn_in, method="batch_scaled")
+
+
 def test_t_quantile_reference_values():
     assert t_quantile(0.025, 9) == pytest.approx(2.262157, abs=1e-5)
     # Cauchy: tan(pi (1/2 - 1/4)) = 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,23 @@ def test_density_requires_positivity():
         GridDensity(np.array([0.5, 1.5, 0.5, 1.4]))  # mean != 1
     with pytest.raises(DimensionError):
         GridDensity(np.ones((4, 4, 4)))
+
+
+@pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_diffusion_is_a_parameter_error(diffusion):
+    p = cosine_density(32)
+    drift = make_constant_drift([1.0], 1.0)
+    calls = [
+        lambda: GridDensity.from_potential(CIRCLE_U0, diffusion, 32),
+        lambda: rate_reversible(p, CIRCLE_U0, diffusion),
+        lambda: rate_irreversible(p, CIRCLE_U0, drift, diffusion),
+        lambda: quadratic_coefficient(p, drift, diffusion),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ParameterError, match="diffusion"):
+                call()
 
 
 def test_empty_density_is_parameter_error():
@@ -311,7 +330,7 @@ def test_lemma_decomposition_consistency():
 def test_monotone_increase_random_densities():
     drift = make_rotational_drift(J2, TORUS, 1.0)
     pts = grid_points(64, 2)
-    c = field_on_grid(drift, 64, 2)
+    c = field_on_grid(drift, GridDensity.uniform(64, 2))
     for seed in range(50):
         p = random_smooth_density(64, dims=2, seed=seed, amplitude=0.6)
         report = rate_irreversible(p, TORUS, drift, 0.5)

@@ -8,20 +8,45 @@ from irrlangevin.drift import J2, make_constant_drift, make_rotational_drift
 from irrlangevin.errors import DimensionError, ParameterError, PropagationError
 from irrlangevin.estimators import OBSERVABLES, ergodic_average
 from irrlangevin.potentials import get_potential
-from irrlangevin.rng import NormalStream
+from irrlangevin.rng import NORMAL_ALGORITHM, NormalStream
 from irrlangevin.sampler import (
     SdeConfig,
     _affine_drift,
-    em_step,
     load_trajectory,
     save_trajectory,
     simulate,
     simulate_cells,
-    simulate_series,
     stable_substeps,
 )
 
 QUAD = get_potential("quadratic")
+
+
+class _FixedNormals:
+    """A stream whose only normals are the given ones."""
+
+    def __init__(self, normals):
+        self._normals = np.asarray(normals, dtype=float)
+
+    def normals(self, n):
+        assert n == self._normals.size
+        return self._normals
+
+
+def em_step(state, potential, drift, diffusion, dt, noise):
+    """One Euler-Maruyama update: one ``simulate_cells`` cell for one step,
+    driven by the given normals."""
+    return simulate_cells(potential, [drift], diffusion, dt, 1, [state],
+                          [_FixedNormals(noise)])[0, 1]
+
+
+def series(config, observable):
+    """The one-cell ``simulate_cells`` series of f(Z_t) that ``simulate``
+    would record as states."""
+    return simulate_cells(
+        config.potential, [config.drift], config.diffusion, config.dt, config.n_steps,
+        [config.initial], [NormalStream(config.seed, config.stream_id)],
+        observable=observable, substeps=config.substeps)[0]
 
 
 def quad_config(**kw):
@@ -72,10 +97,11 @@ def test_em_step_halving_consistency():
 
 
 def test_em_step_rejects_non_finite():
-    with pytest.raises(PropagationError):
-        em_step([np.inf, 0.0], QUAD, None, 0.1, 0.1, [0.0, 0.0])
-    with pytest.raises(PropagationError):
-        em_step([0.0, 0.0], QUAD, None, 0.1, 0.1, [np.nan, 0.0])
+    # a non-finite initial state or normal is a blow-up at the first step
+    for state, noise in (([np.inf, 0.0], [0.0, 0.0]), ([0.0, 0.0], [np.nan, 0.0])):
+        with pytest.raises(PropagationError) as err:
+            em_step(state, QUAD, None, 0.1, 0.1, noise)
+        assert err.value.step_index == 1
 
 
 def test_trajectory_length_contract():
@@ -108,8 +134,8 @@ def test_chunk_size_does_not_change_bytes():
 def test_series_matches_materialized_states():
     cfg = quad_config(diffusion=0.1, horizon=1.0, seed=11)
     traj = simulate(cfg)
-    series = simulate_series(cfg, OBSERVABLES["sumsq"].fn)
-    np.testing.assert_array_equal(series, np.sum(traj.states**2, axis=-1))
+    sumsq = series(cfg, OBSERVABLES["sumsq"].fn)
+    np.testing.assert_array_equal(sumsq, np.sum(traj.states**2, axis=-1))
 
 
 def test_substeps_keep_recording_grid():
@@ -159,6 +185,7 @@ def test_blowup_step_index_is_first_non_finite_recorded_step(dt, substeps, step_
 
 @pytest.mark.parametrize("delta", [None, 3.7])
 def test_em_step_is_the_loop_update(delta):
+    # one recorded step consumes the stream's first d normals, coordinate-minor
     bimodal = get_potential("bimodal1")
     drift = None if delta is None else make_rotational_drift(J2, bimodal, delta)
     x0 = np.array([0.3, -0.8])
@@ -320,7 +347,7 @@ def test_trajectory_file_roundtrip(tmp_path):
     assert header["config"]["potential"]["name"] == "quadratic"
     assert header["config"]["drift"] == {"kind": "rotational", "delta": 2.0}
     assert header["config"]["seed"] == 9
-    assert header["rng"] == traj.rng_algorithm
+    assert header["rng"] == NORMAL_ALGORITHM
 
 
 def test_stream_independence_of_increments():
@@ -341,8 +368,7 @@ def test_stable_substeps_rule():
 def test_ou_moment_short_horizon():
     # E[x^2 + y^2] = 2D for the stationary quadratic diffusion
     cfg = quad_config(diffusion=0.1, horizon=300.0, seed=12, initial=(0.0, 0.0))
-    series = simulate_series(cfg, OBSERVABLES["sumsq"].fn)
-    avg = ergodic_average(series, cfg.dt, burn_in=5.0)
+    avg = ergodic_average(series(cfg, OBSERVABLES["sumsq"].fn), cfg.dt, burn_in=5.0)
     assert avg == pytest.approx(0.2, rel=0.15)
 
 

@@ -315,6 +315,17 @@ def test_bad_diffusion_is_a_parameter_error(monkeypatch, diffusion):
         rate_curvature(cos_samples(16), 1.0, diffusion)
 
 
+@pytest.mark.parametrize("delta, diffusion, name", [
+    (1.0, np.nan, "diffusion"), (1.0, np.inf, "diffusion"), (1.0, 0.0, "diffusion"),
+    (np.nan, 1.0, "delta"), (np.inf, 1.0, "delta"), (-np.inf, 1.0, "delta"),
+])
+def test_fourier_sigma2_rejects_nonfinite_inputs(delta, diffusion, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=name):
+            fourier_sigma2(FourierObservable.cosine(), delta, diffusion)
+
+
 def test_nonfinite_and_empty_inputs_are_parameter_errors(monkeypatch):
     forbid_eigensolves(monkeypatch)
     f = cos_samples(16)
