@@ -126,18 +126,20 @@ def _convert(value, kind: type, name: str):
 
 
 class _Fields:
-    """Strict typed reads from one JSON object; every error names its key."""
+    """Strict typed reads from one JSON object; every error names its key.
+    It records the keys it reads, so ``reject_unread`` can refuse the rest."""
 
     def __init__(self, doc, path: str = ""):
         if not isinstance(doc, dict):
             raise ConfigError(f"{path.rstrip('.') or 'config'} must be a JSON "
                               f"object, got {doc!r}")
-        self.doc, self.path = doc, path
+        self.doc, self.path, self.read, self.sections = doc, path, set(), []
 
     def __call__(self, key: str, kind, default=_REQUIRED):
         """``doc[key]`` as ``kind``: float, int, bool, str, dict, or a list
         such as ``[float]``.  A missing or null key gives ``default``."""
         name, value = self.path + key, self.doc.get(key)
+        self.read.add(key)
         if value is None:
             _check(default is not _REQUIRED, f"missing required key {name!r}")
             return default
@@ -154,17 +156,27 @@ class _Fields:
         return value
 
     def section(self, key: str, default=_REQUIRED) -> "_Fields":
-        return _Fields(self(key, dict, default), f"{self.path}{key}.")
+        self.sections.append(_Fields(self(key, dict, default), f"{self.path}{key}."))
+        return self.sections[-1]
 
     def auto_or_int(self, key: str):
+        self.read.add(key)
         return "auto" if self.doc.get(key) == "auto" else self(key, int, "auto")
 
     def potential(self) -> tuple[str, dict]:
         """``"potential": "name"`` or ``{"name": ..., "params": {...}}``."""
         if isinstance(self.doc.get("potential"), str):
-            return self.doc["potential"], {}
+            return self("potential", str), {}
         spec = self.section("potential")
         return spec("name", str), spec("params", dict, {})
+
+    def reject_unread(self, config):
+        """``config``, once no key of this object or its sections is unread."""
+        for key in sorted(self.doc.keys() - self.read):
+            raise ConfigError(f"unknown or unused key {self.path + key!r}")
+        for section in self.sections:
+            section.reject_unread(config)
+        return config
 
 
 def build_drift(kind: str, potential, delta: float, vector=None):
@@ -183,7 +195,7 @@ def build_drift(kind: str, potential, delta: float, vector=None):
                f"{potential.name!r} has dimension {potential.dimension}")
         drift = make_constant_drift(vector, delta)
         points = np.random.default_rng(0).uniform(-4.0, 4.0, (4, potential.dimension))
-        defect = check_invariance(drift.base_eval, potential, points)
+        defect = check_invariance(drift, potential, points)
         _check(defect <= 1e-6 * (1.0 + float(np.max(np.abs(drift.vector)))),
                f"constant drift {list(vector)} does not preserve the Gibbs law of "
                f"{potential.name!r}: U is not flat along it (|2 c0 . grad U| reaches "
@@ -223,7 +235,7 @@ class ExperimentConfig:
         name, params = fields.potential()
         drift = fields.section("drift", {})
         deltas = drift("deltas", [float], None)
-        return cls(
+        return fields.reject_unread(cls(
             potential=name,
             potential_params=params,
             drift_kind=drift.choice("kind", ("rotational", "constant", "none"),
@@ -240,7 +252,7 @@ class ExperimentConfig:
             checkpoints=fields("checkpoints", [float], ()),
             initial=fields("initial", [float], None),
             substeps=fields.auto_or_int("substeps"),
-        )
+        ))
 
     def __post_init__(self):
         _check(self.deltas and self.seeds, "delta and seed lists must be nonempty")
@@ -254,8 +266,6 @@ class ExperimentConfig:
             get_observable(self.observable)
             if self.initial is None:
                 object.__setattr__(self, "initial", (0.0,) * potential.dimension)
-            # sized before any drift is built: checking a constant drift costs
-            # O(dims^2)
             n_steps, cells, dims = (self.sde(potential, 0.0).n_steps, len(self.seeds),
                                     potential.dimension)
             for delta in self.deltas:
@@ -328,6 +338,8 @@ class RateConfig:
         name, params = fields.potential()
         potential = get_potential(name, **params)
         dims = potential.dimension
+        _check(potential.period is not None, f"ratefn grids the 2 pi torus, but "
+                                             f"potential {name!r} is not periodic")
         _check(dims in (1, 2) and 1 <= size and size**dims <= MAX_RATE_GRID_NODES,
                f"need a potential in 1 or 2 dimensions (not {dims}) and a grid "
                f"with 1 <= grid**{dims} <= {MAX_RATE_GRID_NODES}")
@@ -351,7 +363,7 @@ class RateConfig:
                                            f"values, grid {size} needs {size**dims}")
             grid_density = GridDensity.from_values(raw.reshape((size,) * dims))
         drift = fields.section("drift", {})
-        return cls(
+        return fields.reject_unread(cls(
             potential=potential,
             density=grid_density,
             drift=build_drift(drift.choice("kind", ("rotational", "constant"),
@@ -359,7 +371,7 @@ class RateConfig:
                               drift("delta", float, 1.0), drift("vector", [float], None)),
             diffusion=diffusion,
             quadratic=fields("quadratic", bool, False),
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -382,7 +394,7 @@ class SpectralConfig:
         _check(8 <= config.grid <= MAX_SPECTRAL_GRID,
                f"grid must lie in [8, {MAX_SPECTRAL_GRID}]")
         check_levels(SPECTRAL_OBSERVABLE.samples(config.grid), config.ell_grid)
-        return config
+        return fields.reject_unread(config)
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +591,26 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _make_dir(path: Path, what: str) -> Path:
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+        raise ConfigError(f"cannot create {what} {path}: {exc}") from exc
+    return path
+
+
+def _out_dir(args) -> Path:
+    return _make_dir(Path(args.out), "output directory")
 
 
 def cmd_simulate(args) -> int:
     config = _experiment_config(args)
     out = _out_dir(args)
+    path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
+    _make_dir(path.parent, "the directory of --save-path")
+    _check(not path.is_dir(), f"--save-path {path} is a directory")
     delta = config.deltas[0]
     trajectory = simulate(config.sde(config.build_potential(), delta, seed=config.seeds[0]))
-    path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
     save_trajectory(trajectory, path)
     substeps = [{"delta": delta, "substeps": trajectory.config.substeps}]
     write_manifest(out / "manifest.json", config.to_dict(),

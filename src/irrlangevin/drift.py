@@ -1,16 +1,16 @@
 """Irreversibility perturbations: vector fields C preserving the Gibbs law.
 
 A drift field C qualifies when div(C e^{-2U}) = 0, or equivalently
-div C = 2 C . grad U.  Two constructions are provided:
+div C = 2 C . grad U.  Two constructions are provided, both divergence free,
+so for them the condition is exactly C . grad U = 0:
 
 * rotational -- C0 = S grad U for a constant antisymmetric matrix S, which
-  is simultaneously divergence free and orthogonal to grad U;
-* constant -- C0 = c0, which qualifies on a flat potential (the circle
-  diagnostics, where d = 1 admits no rotational field).
+  is orthogonal to grad U;
+* constant -- C0 = c0, which qualifies on a potential flat along c0 (the
+  circle diagnostics, where d = 1 admits no rotational field).
 
-``check_invariance`` measures the defect of the algebraic constraint
-div C = 2 C . grad U directly; this avoids evaluating e^{-2U}, which would
-under/overflow for large |U|.  The two forms are equivalent.
+``unit_parts`` is the one place that decides which drifts belong to this
+family; the sampler and ``check_invariance`` both go through it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionError
+from .errors import ConstructionError, DimensionError, ParameterError
 from .potentials import PotentialField
 
 #: Standard 2x2 antisymmetric matrix, J[0,1] = 1, J[1,0] = -1.
@@ -95,38 +95,44 @@ def make_constant_drift(vector, delta: float = 1.0) -> ConstantDrift:
     return ConstantDrift(vector=vec, delta=float(delta))
 
 
-def _field_eval(field, x) -> np.ndarray:
-    if hasattr(field, "eval"):
-        return field.eval(x)
-    return field(x)
+def unit_parts(drift, potential: PotentialField):
+    """The unit-strength affine parts (S^T, c0) of a drift of ``potential``:
+    (S^T, None) for a ``RotationalDrift`` built on a potential with the same
+    name and params (a rotational field of another U does not preserve the
+    Gibbs law), (None, c0) for a ``ConstantDrift`` and (None, None) for None.
+    A shape that does not match the potential is a DimensionError, any other
+    drift a ParameterError."""
+    d = potential.dimension
+    if isinstance(drift, RotationalDrift):
+        if (drift.potential.name, drift.potential.params) != (potential.name,
+                                                              potential.params):
+            raise ParameterError(
+                f"rotational drift of potential {drift.potential.name!r} "
+                f"{drift.potential.params} does not preserve the Gibbs law of "
+                f"potential {potential.name!r} {potential.params}")
+        if drift.matrix.shape != (d, d):
+            raise DimensionError(f"drift matrix is {drift.matrix.shape}, potential "
+                                 f"has dimension {d}")
+        return drift.matrix.T, None
+    if isinstance(drift, ConstantDrift):
+        if drift.vector.shape != (d,):
+            raise DimensionError(f"drift vector has shape {drift.vector.shape}, "
+                                 f"potential has dimension {d}")
+        return None, drift.vector
+    if drift is not None:
+        raise ParameterError(f"a drift is None, a ConstantDrift or a RotationalDrift "
+                             f"of the potential, got {type(drift).__name__}")
+    return None, None
 
 
-def finite_difference_divergence(field, points, h: float = 1e-4) -> np.ndarray:
-    """Central-difference divergence of a vector field at a point cloud."""
-    pts = np.asarray(points, dtype=float)
-    d = pts.shape[-1]
-    div = np.zeros(pts.shape[:-1])
-    for axis in range(d):
-        shift = np.zeros(d)
-        shift[axis] = h
-        div = div + (
-            _field_eval(field, pts + shift)[..., axis]
-            - _field_eval(field, pts - shift)[..., axis]
-        ) / (2.0 * h)
-    return div
+def check_invariance(drift, potential: PotentialField, points) -> float:
+    """Max defect |div C0 - 2 C0 . grad U| of the unit-strength field C0 of
+    ``drift`` over ``points``, exactly.
 
-
-def check_invariance(drift, potential: PotentialField, points, h: float = 1e-4) -> float:
-    """Max defect of div C = 2 C . grad U over the supplied points.
-
-    ``drift`` may be a drift field or a plain callable; the divergence is
-    computed by central differences with step ``h`` (analytic drifts built
-    here are smooth, so the residual of a conforming field is pure
-    finite-difference error, O(h^2)).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != potential.dimension:
-        raise DimensionError("points dimension does not match the potential")
-    div = finite_difference_divergence(drift, pts, h=h)
-    cdotg = np.sum(_field_eval(drift, pts) * potential.grad(pts), axis=-1)
-    return float(np.max(np.abs(div - 2.0 * cdotg)))
+    Both drift kinds are divergence free, so the defect is max |2 C0 . grad U|:
+    0 for a rotational drift of U (S is antisymmetric) or no drift, and
+    2 max |c0 . grad U| for a constant one, from one gradient evaluation."""
+    vector = unit_parts(drift, potential)[1]
+    if vector is None:
+        return 0.0
+    return float(np.max(np.abs(2.0 * (potential.grad(points) @ vector))))

@@ -35,11 +35,4 @@ class PropagationError(ArithmeticError):
 
 
 class SolverError(RuntimeError):
-    """An iterative solver failed to converge.
-
-    ``history`` holds the residual trajectory for post-mortem inspection.
-    """
-
-    def __init__(self, message: str, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
+    """An iterative solver failed to converge."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,10 +201,9 @@ def grid_points(size: int, dims: int) -> np.ndarray:
 
 
 def field_on_grid(vector_field, p: GridDensity) -> np.ndarray:
-    """Sample a vector field on the grid of ``p``, returning shape (d, *grid)."""
-    pts = p.points()
-    vals = vector_field.eval(pts) if hasattr(vector_field, "eval") else vector_field(pts)
-    return np.moveaxis(np.asarray(vals, dtype=float), -1, 0)
+    """Sample a vector field (a callable such as ``drift.eval`` or
+    ``potential.grad``) on the grid of ``p``, returning shape (d, *grid)."""
+    return np.moveaxis(np.asarray(vector_field(p.points()), dtype=float), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,6 @@ class GaugeField:
     residual: float        # max |div p(b + grad psi)|
     residual_rel: float    # residual / max |p b|
     iterations: int
-    history: tuple = field(default_factory=tuple, repr=False)
 
 
 def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
@@ -264,7 +262,6 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
 
     x = zeros.copy()
     r = rhs.copy()
-    history = []
     best_x, best_res = x.copy(), float(np.max(np.abs(r)))
     z = precondition(r)
     d = z.copy()
@@ -273,7 +270,6 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
     stall = 0
     while True:
         res = float(np.max(np.abs(r)))
-        history.append(res)
         if res < best_res:
             if res < 0.999 * best_res:
                 stall = 0
@@ -287,8 +283,7 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
         if iterations >= max_iter:
             raise SolverError(
                 f"gauge solver did not converge in {max_iter} iterations "
-                f"(residual {res:.3e}, target {tol:.3e})", history=history,
-            )
+                f"(residual {res:.3e}, target {tol:.3e})")
         Ad = apply_operator(d)
         alpha = rz / float(np.vdot(d, Ad).real)
         x = x + alpha * d
@@ -305,11 +300,9 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
     residual = float(np.max(np.abs(spectral_divergence(flux))))
     if residual > 1e-10 * scale:
         raise SolverError(
-            f"gauge flux residual {residual:.3e} exceeds 1e-10 * {scale:.3e}",
-            history=history,
-        )
+            f"gauge flux residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
     x = x - x.mean()
-    return GaugeField(x, residual, residual / scale, iterations, tuple(history))
+    return GaugeField(x, residual, residual / scale, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +356,23 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
     Solves the gauge equation for b = -grad U + C, takes J_C from the
     square-form increment (1/(4D)) int |grad psi_C - grad U|^2 dmu, and
     cross-computes the total rate through the independent three-term
-    decomposition, reporting the mismatch.  Warns when C breaks the
-    invariance condition div C = 2 C . grad U on a sample of the nodes.
+    decomposition, reporting the mismatch.  C is a ``RotationalDrift`` of
+    ``potential`` or a ``ConstantDrift`` (else a ParameterError); warns when
+    a constant C breaks the invariance condition C0 . grad U = 0 at a node.
     """
     _check_diffusion(diffusion)
-    gu = field_on_grid(potential.grad, p)
-    c = field_on_grid(drift, p)
-    pts = p.points().reshape(-1, p.dims)
-    defect = check_invariance(drift, potential, pts[:: max(1, len(pts) // 2048)])
-    if defect > 1e-6 * (1.0 + float(np.max(np.abs(c)))):
+    if drift is None:
+        raise ParameterError("rate_irreversible needs a drift; rate_reversible is C = 0")
+    defect = check_invariance(drift, potential, p.points())
+    c0 = field_on_grid(drift.base_eval, p)
+    if defect > 1e-6 * (1.0 + float(np.max(np.abs(c0)))):
         warnings.warn(
             f"drift field violates div C = 2 C . grad U (defect {defect:.3e}); "
             "the rate decomposition assumes an invariant-measure-preserving C",
             stacklevel=2,
         )
-    b = -gu + c
+    gu = field_on_grid(potential.grad, p)
+    b = -gu + drift.delta * c0
     gauge, gpsi, term_gauge = _gauge_energy(p, b, diffusion)
 
     gp = spectral_gradient(p.values)
@@ -391,7 +386,7 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
 
     k = quad = None
     if compute_quadratic:
-        quad, _, k = _gauge_energy(p, field_on_grid(drift.base_eval, p), diffusion)
+        quad, _, k = _gauge_energy(p, c0, diffusion)
 
     return RateReport(
         i0=i0,

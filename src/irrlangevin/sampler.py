@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drift import ConstantDrift, RotationalDrift
+from .drift import ConstantDrift, RotationalDrift, unit_parts
 from .errors import DimensionError, ParameterError, PropagationError
 from .potentials import PotentialField
 from .rng import NORMAL_ALGORITHM, NormalStream
@@ -131,34 +131,21 @@ def _affine_drift(potential: PotentialField, drifts: Sequence):
     ``M`` is the scalar -1 (standing for -I) when no cell rotates, one (d, d)
     matrix delta S^T - I when every cell has the same one, and an (n, d, d)
     stack otherwise; ``c`` is None, or the (n, d) rows delta * c0 of the
-    constant drifts.  A rotational drift must be built on a potential with the
-    sampler potential's name and params: a rotational field of another U does
-    not preserve the sampled Gibbs law.  Any other drift is a ParameterError.
+    constant drifts.  ``drift.unit_parts`` gives each cell's S^T and c0 and
+    rejects any drift outside the family; its errors name the cell.
     """
     n, d = len(drifts), potential.dimension
     rotations = {}  # cell -> delta S^T, so M = -I costs no (d, d) array
     cs = np.zeros((n, d))
     for i, dr in enumerate(drifts):
-        if isinstance(dr, RotationalDrift):
-            if (dr.potential.name, dr.potential.params) != (potential.name,
-                                                            potential.params):
-                raise ParameterError(
-                    f"cell {i}: rotational drift of potential {dr.potential.name!r} "
-                    f"{dr.potential.params} cannot drive potential {potential.name!r} "
-                    f"{potential.params}")
-            if dr.matrix.shape != (d, d):
-                raise DimensionError(f"cell {i}: drift matrix is {dr.matrix.shape}, "
-                                     f"potential has dimension {d}")
-            rotations[i] = dr.delta * dr.matrix.T
-        elif isinstance(dr, ConstantDrift):
-            if dr.vector.shape != (d,):
-                raise DimensionError(f"cell {i}: drift vector has shape "
-                                     f"{dr.vector.shape}, potential has dimension {d}")
-            cs[i] = dr.delta * dr.vector
-        elif dr is not None:
-            raise ParameterError(
-                f"cell {i}: the sampler integrates no drift, a ConstantDrift or a "
-                f"RotationalDrift of its potential, got {type(dr).__name__}")
+        try:
+            rotation, vector = unit_parts(dr, potential)
+        except ParameterError as exc:
+            raise type(exc)(f"cell {i}: {exc}") from None
+        if rotation is not None:
+            rotations[i] = dr.delta * rotation
+        if vector is not None:
+            cs[i] = dr.delta * vector
     c = cs if cs.any() else None
     if not rotations:
         return -1.0, c

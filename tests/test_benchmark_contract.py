@@ -1,8 +1,11 @@
-"""The names ``perfbench/spans.py`` patches must exist and be called by the CLI.
+"""The names ``perfbench/spans.py`` patches must exist and be called by the CLI,
+and the config documents ``perfbench/workloads.py`` writes must pass the
+strict config readers.
 
-The benchmark wraps public attributes of the program from the outside.  A
-deletion or rename of one of them would first show as a failed benchmark
-run; these tests load the harness module read-only and fail instead.
+The benchmark wraps public attributes of the program from the outside and
+feeds it generated documents.  A deletion or rename of one of those names, or
+a stricter config reader, would first show as a failed benchmark run; these
+tests load the harness modules read-only and fail instead.
 """
 
 import importlib.util
@@ -11,21 +14,29 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from irrlangevin import cli, ratefn, sampler, spectral
 from irrlangevin.rng import NormalStream
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = load_spans()
+spans = load("spans")
+workloads = load("workloads")
+
+#: The strict reader of each subcommand's ``--config`` document.
+READERS = {"estimate": cli.ExperimentConfig, "sweep": cli.ExperimentConfig,
+           "simulate": cli.ExperimentConfig, "ratefn": cli.RateConfig,
+           "spectral": cli.SpectralConfig}
 
 #: (owner, attribute) of every patch ``Probe`` and ``install_tracing`` make.
 PATCHED = [
@@ -99,3 +110,13 @@ def test_probe_records_one_group_per_delta_of_an_estimate_run(tmp_path):
     assert metrics["estimators.autocov_calls"] == 4
     assert metrics["estimators.observable_calls"] > 0
     assert metrics["cli.rows_written"] == 4
+
+
+@pytest.mark.parametrize("warmup", [False, True])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_commands_parse_and_their_configs_pass_from_dict(name, warmup, tmp_path):
+    for _, argv in workloads.WORKLOADS[name].commands(tmp_path, 1, warmup=warmup):
+        args = cli.build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            doc = json.loads(Path(args.config).read_text())
+            assert isinstance(READERS[args.command].from_dict(doc), READERS[args.command])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_blowup_is_numeric_failure(tmp_path):
 def test_simulate_writes_trajectory(tmp_path):
     doc = ou_config(horizon=1.0, burn_in=0.1, seeds=[3])
     cfg = write_config(tmp_path, doc)
-    save = tmp_path / "traj.bin"
+    save = tmp_path / "new" / "traj.bin"  # a missing parent is created
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--save-path", str(save)]) == 0
     from irrlangevin.sampler import load_trajectory
@@ -301,7 +302,7 @@ def solvers(monkeypatch):
             raise SolveStarted(name)
         return entry
 
-    for name in ("simulate_cells", "rate_irreversible", "rate_curvature"):
+    for name in ("simulate", "simulate_cells", "rate_irreversible", "rate_curvature"):
         monkeypatch.setattr(cli, name, stub(name))
     return calls
 
@@ -358,6 +359,30 @@ BAD_INPUTS = {
     "ratefn_constant_drift_on_bimodal1": (
         "ratefn", rate_config(potential="bimodal1",
                               drift={"kind": "constant", "vector": [0.0, 1.0]}), []),
+    "ratefn_constant_drift_on_torus_cosine": (
+        "ratefn", rate_config(potential={"name": "torus-cosine", "params": {"a": 0.5}},
+                              drift={"kind": "constant", "vector": [1.0, 0.0]}), []),
+    "ratefn_bimodal1": (
+        "ratefn", rate_config(potential="bimodal1", drift={"kind": "rotational"}), []),
+    "ratefn_quadratic": (
+        "ratefn", rate_config(potential="quadratic", drift={"kind": "rotational"}), []),
+    "sampling_drift_vector": (
+        "estimate", ou_config(potential={"name": "torus-zero", "params": {"dim": 1}},
+                              initial=[0.0], drift={"kind": "constant", "deltas": [1.0],
+                                                    "vector": [5.0, 0.0, 0.0]}), []),
+    "unknown_top_level_key": ("estimate", ou_config(bogus=3), []),
+    "unknown_density_key": (
+        "ratefn", rate_config(density={"kind": "uniform", "paht": "d.txt"}), []),
+    "unknown_spectral_key": ("spectral", spectral_config(delta=[1.0]), []),
+}
+#: What the message of a BAD_INPUTS case must name, where it is not just a value.
+NAMED_IN_MESSAGE = {
+    "ratefn_bimodal1": "'bimodal1' is not periodic",
+    "ratefn_quadratic": "'quadratic' is not periodic",
+    "sampling_drift_vector": "unknown or unused key 'drift.vector'",
+    "unknown_top_level_key": "unknown or unused key 'bogus'",
+    "unknown_density_key": "unknown or unused key 'density.paht'",
+    "unknown_spectral_key": "unknown or unused key 'delta'",
 }
 
 
@@ -368,7 +393,30 @@ def test_bad_input_exits_2_before_any_solve(case, tmp_path, solvers, capsys):
     cfg = write_config(tmp_path, json.loads(json.dumps(doc).replace("{tmp}", str(tmp_path))))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
     assert solvers == []
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert NAMED_IN_MESSAGE.get(case, "") in err
+
+
+@pytest.mark.parametrize("where", ["under_a_file", "a_directory"])
+def test_unwritable_save_path_exits_2_before_simulating(where, tmp_path, solvers):
+    (tmp_path / "file").write_text("")
+    save = tmp_path / "file" / "z.traj" if where == "under_a_file" else tmp_path
+    cfg = write_config(tmp_path, ou_config(horizon=1.0, burn_in=0.1, seeds=[3]))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--save-path", str(save)]) == 2
+    assert solvers == []
+
+
+def test_constant_drift_config_at_dim_8192_builds_within_a_second():
+    # the invariance check costs O(d) per point; 8192 is the largest one-seed
+    # dimension the MAX_SAMPLER_VALUES noise-chunk bound admits
+    doc = ou_config(potential={"name": "torus-zero", "params": {"dim": 8192}},
+                    drift={"kind": "constant", "deltas": [0.0, 1.0, 2.0]},
+                    initial=None, seeds=[1], horizon=1.0, burn_in=0.1)
+    start = time.perf_counter()
+    ExperimentConfig.from_dict(doc)
+    assert time.perf_counter() - start < 1.0
 
 
 FLAT_CONSTANT_DRIFTS = {

@@ -330,7 +330,7 @@ def test_lemma_decomposition_consistency():
 def test_monotone_increase_random_densities():
     drift = make_rotational_drift(J2, TORUS, 1.0)
     pts = grid_points(64, 2)
-    c = field_on_grid(drift, GridDensity.uniform(64, 2))
+    c = field_on_grid(drift.eval, GridDensity.uniform(64, 2))
     for seed in range(50):
         p = random_smooth_density(64, dims=2, seed=seed, amplitude=0.6)
         report = rate_irreversible(p, TORUS, drift, 0.5)
@@ -368,16 +368,18 @@ def test_grid_convergence_on_rough_density():
 
 
 def test_nonconforming_drift_warns():
+    # U = 0.5 cos x + 0.5 cos y is not flat along x, so c0 = [1, 0] breaks invariance
     p = random_smooth_density(32, dims=2, seed=1)
-
-    class RadialField:
-        delta = 1.0
-
-        def eval(self, pts):
-            return np.asarray(pts, dtype=float)
-
-        def base_eval(self, pts):
-            return np.asarray(pts, dtype=float)
-
     with pytest.warns(UserWarning):
-        rate_irreversible(p, TORUS, RadialField(), 0.5)
+        rate_irreversible(p, TORUS, make_constant_drift([1.0, 0.0]), 0.5)
+
+
+@pytest.mark.parametrize("drift", [
+    pytest.param(make_rotational_drift(J2, get_potential("quadratic"), 1.0),
+                 id="rotational_of_another_potential"),
+    pytest.param(lambda pts: np.asarray(pts, dtype=float), id="radial_callable"),
+    pytest.param(None, id="none"),
+])
+def test_drift_outside_the_family_is_a_parameter_error(drift):
+    with pytest.raises(ParameterError):
+        rate_irreversible(GridDensity.uniform(16, 2), TORUS, drift, 0.5)
