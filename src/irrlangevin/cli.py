@@ -46,7 +46,7 @@ from .spectral import (
 
 RESULT_COLUMNS = (
     "potential,delta,D,dt,t,v,m,estimate,s2m,ci_lo,ci_hi,"
-    "sigma2_batch,sigma2_autocov,seed"
+    "sigma2_batch,seed"
 ).split(",")
 
 SWEEP_COLUMNS = ["delta", "t", "estimate", "ci_lo", "ci_hi"]
@@ -430,9 +430,6 @@ def _delta_group_rows(config: ExperimentConfig,
             window = series[j][: round(t / config.dt) + 1]
             m = config.batches_at(t)
             report = batch_means(window, m, config.alpha, config.dt, config.burn_in)
-            sigma2_a = asymptotic_variance_estimate(
-                window, config.dt, m=m, burn_in=config.burn_in, method="autocov"
-            )
             rows.append({
                 "potential": config.potential,
                 "delta": delta,
@@ -445,8 +442,8 @@ def _delta_group_rows(config: ExperimentConfig,
                 "s2m": report.s2m,
                 "ci_lo": report.ci_lower,
                 "ci_hi": report.ci_upper,
-                "sigma2_batch": report.variance_scaled(),
-                "sigma2_autocov": sigma2_a,
+                "sigma2_batch": asymptotic_variance_estimate(
+                    window, config.dt, m=m, burn_in=config.burn_in),
                 "seed": seed,
             })
     return rows, timing

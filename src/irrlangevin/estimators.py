@@ -3,7 +3,9 @@
 The estimator pipeline mirrors steady-state simulation practice: discard a
 burn-in prefix, form the time average, split the remaining window into m
 contiguous batches, and build a Student-t confidence interval from the
-dispersion of the batch means.  All routines operate on the sampled series
+dispersion of the batch means.  The same batches give the one estimate of
+the asymptotic variance sigma^2: the batch variance s2m scaled by the
+batch length block * dt.  All routines operate on the sampled series
 f(Z_0), f(Z_dt), ... and treat each stored sample as the left endpoint of
 one dt interval (left Riemann sums), dropping the final state.
 """
@@ -87,26 +89,20 @@ class BatchMeansReport:
     s2m: float
     ci_lower: float
     ci_upper: float
-    block_time: float  # dt times the samples per batch
 
     def covers(self, value: float) -> bool:
         return self.ci_lower <= value <= self.ci_upper
 
-    def variance_scaled(self) -> float:
-        """block_time * s2m, the batch-scaled asymptotic-variance estimate."""
-        return self.block_time * self.s2m
 
-
-def _batches(w: Array, m: int, dt: float) -> tuple[Array, float]:
-    """The means of m contiguous batches of the window w, a trailing
-    remainder that does not fill a batch truncated, and the time length
-    block * dt of each batch."""
+def _batches(w: Array, m: int) -> Array:
+    """The means of m contiguous batches of len(w) // m samples of the window
+    w, a trailing remainder that does not fill a batch truncated."""
     block = len(w) // m
     if block < 1:
         raise ParameterError(
             f"series too short: {len(w)} post-burn-in samples for m={m} batches"
         )
-    return w[: m * block].reshape(m, block).mean(axis=1), block * dt
+    return w[: m * block].reshape(m, block).mean(axis=1)
 
 
 def batch_means(values, m: int, alpha: float, dt: float,
@@ -120,7 +116,7 @@ def batch_means(values, m: int, alpha: float, dt: float,
         raise ParameterError("batch means needs m >= 2")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
-    means, block_time = _batches(_window(values, dt, burn_in), m, dt)
+    means = _batches(_window(values, dt, burn_in), m)
     estimate = float(means.mean())
     s2m = float(means.var(ddof=1))
     half = t_quantile(alpha / 2.0, m - 1) * math.sqrt(s2m / m)
@@ -130,7 +126,6 @@ def batch_means(values, m: int, alpha: float, dt: float,
         s2m=s2m,
         ci_lower=estimate - half,
         ci_upper=estimate + half,
-        block_time=block_time,
     )
 
 
@@ -143,40 +138,14 @@ def t_quantile(alpha_half: float, dof: int) -> float:
     return -float(stdtrit(dof, alpha_half))
 
 
-def _autocovariance(w: Array) -> Array:
-    """Biased empirical autocovariance of a demeaned copy of w, via FFT."""
-    x = w - w.mean()
-    n = len(x)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(spec * np.conj(spec), nfft)[:n].real / n
-    return acov
-
-
 def asymptotic_variance_estimate(values, dt: float, m: int | None = None,
-                                 burn_in: float = 0.0,
-                                 method: str = "batch_scaled") -> float:
-    """Estimate sigma^2 = 2 * integral of the autocovariance.
-
-    batch_scaled: (block * dt) * s2m over the m batches of ``block`` samples
-    that ``batch_means`` averages, consistent for any mixing dynamics.
-    autocov: 2 dt * sum_k w_k c(k dt) with weights w_0 = 1/2 and w_k = 1 up
-    to the lag before the first sign change of c (initial-positive-sequence
-    truncation).  The truncation overestimates for oscillatory
-    autocovariances (strong irreversible drift); it is meant as a
-    cross-check, not the primary estimator.
-    """
+                                 burn_in: float = 0.0) -> float:
+    """Estimate sigma^2 = lim t Var(time average over [0, t]) as
+    (block * dt) * s2m over the m batches of ``block`` samples that
+    ``batch_means`` averages; m defaults to ``batch_count_schedule``."""
     w = _window(values, dt, burn_in)
     if m is None:
         m = batch_count_schedule(len(w) * dt)
     if len(w) < 2 * m:
         raise ParameterError("series too short for an asymptotic-variance estimate")
-    if method == "batch_scaled":
-        means, block_time = _batches(w, m, dt)
-        return float(block_time * means.var(ddof=1))
-    if method == "autocov":
-        acov = _autocovariance(w)
-        negative = np.nonzero(acov[1:] <= 0.0)[0]
-        cutoff = int(negative[0]) + 1 if len(negative) else len(acov)
-        return float(2.0 * dt * (0.5 * acov[0] + acov[1:cutoff].sum()))
-    raise ParameterError(f"unknown method {method!r}")
+    return float((len(w) // m) * dt * _batches(w, m).var(ddof=1))

@@ -6,16 +6,18 @@ the asymptotic variance of a zero-mean observable f = sum c_n e^{inx} is
 
     sigma^2(delta) = sum_{n >= 1} 4 |c_n|^2 D / (D^2 n^2 + delta^2) ,
 
-(the value of 2 * integral of the stationary autocovariance), and the
-scaled cumulant generating function lambda(beta f) is the principal
-eigenvalue of L + beta f.  The module discretizes D Lap + C . grad with
-centered differences on a periodic grid (the circle, or the 2-torus with a
-drift field C), extracts lambda(beta f) on either as the Perron eigenvalue
-of the dense matrix with one ``np.linalg.eig`` call, and Legendre-transforms
-it into the rate function of the ergodic average.  lambda' and lambda'' are
-exact, from the Perron pair and two bordered linear solves (Hellmann-Feynman),
-so a Newton step of that transform is one eigensolve, and so is the rate
-curvature at the mean pi(f) = lambda'(0): kappa = 1/(2 lambda''(0)).
+(the CLT variance of the time average), and the scaled cumulant generating
+function lambda(beta f) is the principal eigenvalue of L + beta f.  The
+module discretizes D Lap + C . grad with centered differences on a periodic
+grid (the circle, or the 2-torus with a drift field C), extracts
+lambda(beta f) on either as the Perron eigenvalue of the dense matrix, and
+Legendre-transforms it into the rate function of the ergodic average.
+lambda' and lambda'' are exact, from the Perron pair and two bordered
+linear solves (Hellmann-Feynman), so a Newton step of that transform is one
+eigensolve.  At beta = 0 the Perron pair is lambda = 0, r = 1 (the rows of
+the generator sum to zero), so the rate curvature at the mean
+pi(f) = lambda'(0), kappa = 1/(2 lambda''(0)), takes the two bordered solves
+and no eigensolve.
 """
 
 from __future__ import annotations
@@ -210,12 +212,15 @@ class ScaledCgf:
     def jet(self, beta: float) -> tuple[float, float, float]:
         """lambda, lambda' and lambda'' at beta from one Perron pair (lambda, r).
 
+        At beta = 0 the pair is known, lambda = 0 and r = 1, because the rows
+        of the generator sum to zero; any other beta takes one eigensolve.
         K = [[M - lambda I, r], [r^T, 0]] is nonsingular as lambda is simple.
         K^T [l; 0] = e_{N+1} gives the left eigenvector, with <l, r> = 1, so
         lambda' = <l, f r> (Hellmann-Feynman); K [r'; 0] = [(lambda' - f) r; 0]
-        gives r', and lambda'' = 2 <l, (f - lambda') r'>."""
+        gives r', and lambda'' = 2 <l, (f - lambda') r'>.  At beta = 0, l is
+        the invariant law pi and r' solves the Poisson equation for f - pi(f)."""
         matrix = _add_potential(self._base.copy(), float(beta), self.f)
-        lam, r = _perron(matrix)
+        lam, r = _perron(matrix) if beta else (0.0, np.ones(len(self.f)))
         n = len(r)
         border = np.block([[matrix - lam * np.eye(n), r[:, None]], [r, 0.0]])
         left = np.linalg.solve(border.T, np.eye(1, n + 1, n)[0])[:n]
@@ -244,14 +249,18 @@ def _solve_tilt(scgf: ScaledCgf, ell: float) -> tuple[float, float]:
             hi, ghi = min(hi, beta), g
         candidate = beta - g / curv if curv > 0 else math.nan
         if not (lo < candidate < hi):
-            # bisect; make sure the bracket actually straddles the root
+            # bisect; make sure the bracket actually straddles the root.  A
+            # level in (min f, max f) is reached as |beta| -> inf, so a root
+            # outside the bracket is a solver limit, not a bad level.
             if glo is None:
                 if scgf.jet(lo)[1] - ell >= 0:
-                    raise DomainError(f"level {ell} below the reachable range")
+                    raise SolverError(f"level {ell} needs beta below the tilt "
+                                      f"bracket {TILT_BRACKET}")
                 glo = -1.0
             if ghi is None:
                 if scgf.jet(hi)[1] - ell <= 0:
-                    raise DomainError(f"level {ell} above the reachable range")
+                    raise SolverError(f"level {ell} needs beta above the tilt "
+                                      f"bracket {TILT_BRACKET}")
                 ghi = 1.0
             candidate = 0.5 * (lo + hi)
         beta = candidate

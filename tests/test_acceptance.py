@@ -28,7 +28,7 @@ from irrlangevin.ratefn import (
     rate_irreversible,
 )
 from irrlangevin.rng import NormalStream
-from irrlangevin.sampler import simulate_cells
+from irrlangevin.sampler import simulate_cells, stable_substeps
 from irrlangevin.spectral import (
     FourierObservable,
     fourier_sigma2,
@@ -238,21 +238,30 @@ def test_criterion_9_ci_coverage():
     quad = get_potential("quadratic")
     horizon, dt, burn_in, replications = 50.0, 1e-3, 5.0, 200
     n_steps = int(round(horizon / dt))
-    series = simulate_cells(
-        quad, [None] * replications, 0.1, dt, n_steps,
-        [(0.0, 0.0)] * replications,
-        [NormalStream(1000 + k, 0) for k in range(replications)],
-        observable=lambda z: np.sum(z**2, axis=-1),
-    )
     m = batch_count_schedule(horizon)
-    covered = 0
-    for k in range(replications):
-        rep = batch_means(series[k], m, 0.05, dt, burn_in)
-        covered += rep.covers(0.2)
+    # The Euler-Maruyama chain Z <- A Z + sqrt(2 D dt) xi, A = (1 - dt) I +
+    # dt delta J, has A A^T = ((1 - dt)^2 + dt^2 delta^2) I, so its stationary
+    # E|Z|^2 is 2D / (1 - dt (1 + delta^2) / 2): the CIs at delta = 10 must
+    # cover that value, not the Gibbs value 2D = 0.2.
+    chain_sumsq = 0.2 / (1.0 - dt * (1.0 + 10.0**2) / 2.0)
+    assert chain_sumsq > 1.05 * 0.2  # the step's stationary bias at delta = 10
+    coverage = {}
+    for i, (delta, target) in enumerate(((0.0, 0.2), (10.0, chain_sumsq))):
+        assert stable_substeps(delta, dt) == 1
+        drift = make_rotational_drift(J2, quad, delta) if delta else None
+        series = simulate_cells(
+            quad, [drift] * replications, 0.1, dt, n_steps,
+            [(0.0, 0.0)] * replications,
+            [NormalStream(1000 + k, i) for k in range(replications)],
+            observable=lambda z: np.sum(z**2, axis=-1),
+        )
+        coverage[delta] = sum(batch_means(series[k], m, 0.05, dt, burn_in).covers(target)
+                              for k in range(replications))
     elapsed = time.perf_counter() - start
-    report(9, f"coverage {covered}/{replications} "
-              f"({covered / replications:.1%}) >= 88% ({elapsed:.1f}s)")
-    assert covered >= 0.88 * replications
+    report(9, "coverage " + ", ".join(
+        f"delta {delta:g}: {covered}/{replications} ({covered / replications:.1%})"
+        for delta, covered in coverage.items()) + f" >= 88% ({elapsed:.1f}s)")
+    assert all(covered >= 0.88 * replications for covered in coverage.values())
     assert elapsed < 300.0
 
 

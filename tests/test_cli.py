@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ def test_estimate_cli_round_trip(tmp_path):
     assert header == ",".join(RESULT_COLUMNS)
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["config"]["potential"]["name"] == "quadratic"
+
+
+def test_readme_documents_the_results_header():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    headers = [line for line in readme.splitlines()
+               if line.startswith(RESULT_COLUMNS[0] + ",")]
+    assert headers == [",".join(RESULT_COLUMNS)]
 
 
 def test_seeds_flag_overrides_config(tmp_path):
@@ -218,6 +226,13 @@ def test_spectral_cli(tmp_path):
     curve_lines = (out / "rate_curve.csv").read_text().splitlines()
     assert curve_lines[0] == "delta,D,ell,rate"
     assert len(curve_lines) == 1 + 4  # 2 deltas x 2 levels
+
+
+def test_spectral_level_past_the_tilt_bracket_exits_3(tmp_path, capsys):
+    # the level passes check_levels; only the solver's beta bracket is short
+    cfg = write_config(tmp_path, spectral_config(deltas=[0.0], grid=64, ell_grid=[0.9999]))
+    assert main(["spectral", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "tilt bracket" in capsys.readouterr().err
 
 
 def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):

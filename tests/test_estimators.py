@@ -107,12 +107,13 @@ def test_batch_means_affine_equivariance(a, b, seed):
     (50.0, 5.0, batch_count_schedule(50.0)),
 ])
 def test_batch_means_and_batch_scaled_estimate_agree(t, burn_in, m):
-    # both scale s2m by the time length of the batches actually averaged
+    # sigma^2 scales s2m by the time length of the batches actually averaged
     dt = 1e-3
     values = np.random.default_rng(3).normal(size=round(t / dt) + 1)
+    window = values[round(burn_in / dt) : -1]
     report = batch_means(values, m, 0.05, dt, burn_in)
-    assert report.variance_scaled() == asymptotic_variance_estimate(
-        values, dt, m=m, burn_in=burn_in, method="batch_scaled")
+    assert asymptotic_variance_estimate(values, dt, m=m, burn_in=burn_in) == (
+        (len(window) // m) * dt * report.s2m)
 
 
 def test_t_quantile_reference_values():
@@ -150,23 +151,14 @@ def test_asymptotic_variance_iid_series():
     rng = np.random.default_rng(8)
     dt = 0.05
     values = rng.normal(size=200_001)
-    batch = asymptotic_variance_estimate(values, dt, m=100, method="batch_scaled")
-    auto = asymptotic_variance_estimate(values, dt, method="autocov")
+    batch = asymptotic_variance_estimate(values, dt, m=100)
     # iid N(0,1): sigma^2 = dt * var = 0.05
     assert batch == pytest.approx(dt, rel=0.25)
-    assert auto == pytest.approx(dt, rel=0.25)
-    assert batch == pytest.approx(auto, rel=0.25)
 
 
 def test_asymptotic_variance_short_series_raises():
     with pytest.raises(ParameterError):
         asymptotic_variance_estimate(np.ones(30), 0.1, m=20)
-
-
-def test_asymptotic_variance_unknown_method():
-    with pytest.raises(ParameterError):
-        asymptotic_variance_estimate(np.random.default_rng(0).normal(size=1000),
-                                     0.1, m=10, method="spectral")
 
 
 def test_circle_variance_reversible():
@@ -175,11 +167,6 @@ def test_circle_variance_reversible():
     estimates = [asymptotic_variance_estimate(s, 0.01, m=40, burn_in=5.0)
                  for s in series]
     assert np.mean(estimates) == pytest.approx(1.0, rel=0.15)
-    auto = np.mean([
-        asymptotic_variance_estimate(s, 0.01, burn_in=5.0, method="autocov")
-        for s in series
-    ])
-    assert auto == pytest.approx(1.0, rel=0.15)
 
 
 def test_circle_variance_irreversible():

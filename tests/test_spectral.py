@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from irrlangevin import spectral
-from irrlangevin.errors import DimensionError, DomainError, ParameterError
+from irrlangevin.errors import DimensionError, DomainError, ParameterError, SolverError
 from irrlangevin.spectral import (
     FourierObservable,
     ScaledCgf,
@@ -266,13 +266,11 @@ def test_jet_matches_central_differences_of_value(beta, delta):
 
 @pytest.mark.parametrize("delta", [1.0, 4.0])
 def test_rate_curvature_eigensolve_budget(monkeypatch, delta):
-    calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    # at beta = 0 the Perron pair is (0, 1), so the curvature needs no eigensolve
+    forbid_eigensolves(monkeypatch)
     for name in ("observable_rate", "_solve_tilt"):
         monkeypatch.setattr(spectral, name, lambda *a, name=name: pytest.fail(name))
     rate_curvature(cos_samples(64), delta, 1.0)
-    assert len(calls) == 1
 
 
 def legendre_cases():
@@ -353,7 +351,9 @@ def test_nonfinite_and_empty_inputs_are_parameter_errors(monkeypatch):
 # observable rate function
 
 
-def test_rate_zero_at_mean():
+def test_rate_zero_at_mean(monkeypatch):
+    # the tilt solve's first step, at beta = 0, makes no eigensolve
+    forbid_eigensolves(monkeypatch)
     curve = observable_rate(cos_samples(), 0.0, 1.0, [0.0])
     assert curve.rates[0] == pytest.approx(0.0, abs=1e-9)
     assert curve.betas[0] == pytest.approx(0.0, abs=1e-6)
@@ -376,6 +376,13 @@ def test_rate_rejects_level_outside_range():
         observable_rate(cos_samples(), 0.0, 1.0, [1.5])
     with pytest.raises(DomainError):
         observable_rate(cos_samples(), 0.0, 1.0, [-1.0])  # boundary excluded
+
+
+@pytest.mark.parametrize("ell", [0.9999, -0.9999])
+def test_level_past_the_tilt_bracket_is_a_solver_limit(ell):
+    # inside (min f, max f), so reached as |beta| -> inf: not a bad level
+    with pytest.raises(SolverError, match="tilt bracket"):
+        observable_rate(cos_samples(64), 0.0, 1.0, [ell])
 
 
 def test_rate_rejects_repeated_levels():
