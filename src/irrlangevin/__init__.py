@@ -51,14 +51,7 @@ from .ratefn import (
     solve_gauge_field,
 )
 from .rng import NORMAL_ALGORITHM, NormalStream
-from .sampler import (
-    SdeConfig,
-    Trajectory,
-    load_trajectory,
-    save_trajectory,
-    simulate,
-    simulate_cells,
-)
+from .sampler import load_trajectory, save_trajectory, simulate_cells
 from .spectral import (
     FourierObservable,
     ObservableRateCurve,

@@ -37,9 +37,7 @@ from .estimators import (
 from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
-from .sampler import (
-    NOISE_CHUNK, SdeConfig, save_trajectory, simulate, simulate_cells, stable_substeps,
-)
+from .sampler import NOISE_CHUNK, save_trajectory, simulate_cells, stable_substeps
 from .spectral import (
     FourierObservable, check_levels, fourier_sigma2, observable_rate, rate_curvature,
 )
@@ -206,9 +204,12 @@ def build_drift(kind: str, potential, delta: float, vector=None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sampling experiment (simulate, estimate, sweep, reproduce-table).
-    Construction checks that every name resolves and every drift builds, sets
-    ``initial`` (default: the origin) and ``checkpoints`` (default: the
+    """Sampling experiment (simulate, estimate, sweep, reproduce-table): the
+    one sampling config, whose fields go straight into ``simulate_cells``.
+    Construction checks that every name resolves and every drift builds, that
+    the diffusion is finite and nonnegative, that substeps is at least 1, that
+    the horizon holds one step and that ``initial`` (default: the origin) has
+    the potential's dimension.  It sets ``checkpoints`` (default: the
     horizon), and checks that each checkpoint has 2 samples per batch and
     that each delta group's recorded series ((n_steps + 1) x cells, or x d
     for simulate's trajectory) and noise chunk fit in MAX_SAMPLER_VALUES."""
@@ -259,15 +260,22 @@ class ExperimentConfig:
         _check(self.dt > 0 and 0 <= self.burn_in < self.horizon,
                "need dt > 0 and 0 <= burn_in < horizon")
         _check(math.isfinite(self.horizon / self.dt), "horizon / dt is too large")
+        _check(self.horizon >= self.dt,
+               "horizon must be at least one step (dt <= horizon)")
+        _check(math.isfinite(self.diffusion) and self.diffusion >= 0.0,
+               f"diffusion must be finite and nonnegative (0 means ODE), "
+               f"got {self.diffusion}")
+        _check(self.substeps == "auto" or self.substeps >= 1, "substeps must be >= 1")
         _check(0 < self.alpha < 1, "alpha must lie in (0, 1)")
         _check(self.batches == "auto" or self.batches >= 2, "batches must be >= 2")
         try:
             potential = self.build_potential()
             get_observable(self.observable)
+            n_steps, cells, dims = self.n_steps, len(self.seeds), potential.dimension
             if self.initial is None:
-                object.__setattr__(self, "initial", (0.0,) * potential.dimension)
-            n_steps, cells, dims = (self.sde(potential, 0.0).n_steps, len(self.seeds),
-                                    potential.dimension)
+                object.__setattr__(self, "initial", (0.0,) * dims)
+            _check(len(self.initial) == dims, f"initial state has dimension "
+                   f"{len(self.initial)}, potential has dimension {dims}")
             for delta in self.deltas:
                 _check(self.substeps != "auto" or math.isfinite(delta * delta * self.dt),
                        f"delta {delta} is too large for automatic substeps")
@@ -275,7 +283,7 @@ class ExperimentConfig:
                              cells * max(self.substeps_at(delta), NOISE_CHUNK) * dims)
                 _check(values <= MAX_SAMPLER_VALUES, f"delta {delta} needs {values} "
                        f"values in one series or noise chunk, over {MAX_SAMPLER_VALUES}")
-                self.sde(potential, delta)
+                self.drift(potential, delta)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "checkpoints", self.checkpoints or (self.horizon,))
@@ -297,17 +305,19 @@ class ExperimentConfig:
         return stable_substeps(delta, self.dt) if self.substeps == "auto" \
             else self.substeps
 
-    def sde(self, potential, delta: float, seed: int = 0) -> SdeConfig:
-        """One trajectory at strength ``delta``; SdeConfig checks the
-        diffusion, the substep count and the initial state's dimension."""
-        # delta = 0 is exactly reversible dynamics for every recipe
-        drift = None if delta == 0.0 else build_drift(self.drift_kind, potential, delta)
-        return SdeConfig(potential, drift, self.diffusion, self.dt, self.horizon,
-                         self.initial, seed, substeps=self.substeps_at(delta))
+    @property
+    def n_steps(self) -> int:
+        # guard against 294999-style float representation of horizon/dt
+        return int(math.floor(self.horizon / self.dt + 1e-9))
+
+    def drift(self, potential, delta: float):
+        """The drift at strength ``delta``; delta = 0 is exactly reversible
+        dynamics (None) for every kind."""
+        return None if delta == 0.0 else build_drift(self.drift_kind, potential, delta)
 
     def substeps_by_delta(self) -> list[dict]:
-        """The integration substeps of each delta group, as ``sde`` resolves
-        them for the run; manifest.json records them."""
+        """The integration substeps of each delta group, as ``substeps_at``
+        resolves them for the run; manifest.json records them."""
         return [{"delta": delta, "substeps": self.substeps_at(delta)}
                 for delta in self.deltas]
 
@@ -363,12 +373,13 @@ class RateConfig:
                                            f"values, grid {size} needs {size**dims}")
             grid_density = GridDensity.from_values(raw.reshape((size,) * dims))
         drift = fields.section("drift", {})
+        kind = drift.choice("kind", ("rotational", "constant"), "rotational")
+        # a rotational drift reads no vector, so reject_unread refuses one
+        vector = drift("vector", [float], None) if kind == "constant" else None
         return fields.reject_unread(cls(
             potential=potential,
             density=grid_density,
-            drift=build_drift(drift.choice("kind", ("rotational", "constant"),
-                                           "rotational"), potential,
-                              drift("delta", float, 1.0), drift("vector", [float], None)),
+            drift=build_drift(kind, potential, drift("delta", float, 1.0), vector),
             diffusion=diffusion,
             quadratic=fields("quadratic", bool, False),
         ))
@@ -413,17 +424,17 @@ def _delta_group_rows(config: ExperimentConfig,
     """
     delta, cells = config.deltas[delta_index], len(config.seeds)
     potential = config.build_potential()
-    sde = config.sde(potential, delta)
+    n_steps, substeps = config.n_steps, config.substeps_at(delta)
     streams = [NormalStream(seed, splitmix64(delta_index, j))
                for j, seed in enumerate(config.seeds)]
     start = time.perf_counter()
     series = simulate_cells(
-        potential, [sde.drift] * cells, sde.diffusion, sde.dt, sde.n_steps,
-        [sde.initial] * cells, streams,
-        observable=get_observable(config.observable).fn, substeps=sde.substeps)
+        potential, [config.drift(potential, delta)] * cells, config.diffusion,
+        config.dt, n_steps, [config.initial] * cells, streams,
+        observable=get_observable(config.observable).fn, substeps=substeps)
     wall = time.perf_counter() - start
     timing = {"delta": delta, "wall_s": wall,
-              "cell_substeps_per_s": cells * sde.n_steps * sde.substeps / wall}
+              "cell_substeps_per_s": cells * n_steps * substeps / wall}
     rows = []
     for j, seed in enumerate(config.seeds):
         for t in config.checkpoints:
@@ -606,13 +617,27 @@ def cmd_simulate(args) -> int:
     path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
     _make_dir(path.parent, "the directory of --save-path")
     _check(not path.is_dir(), f"--save-path {path} is a directory")
-    delta = config.deltas[0]
-    trajectory = simulate(config.sde(config.build_potential(), delta, seed=config.seeds[0]))
-    save_trajectory(trajectory, path)
-    substeps = [{"delta": delta, "substeps": trajectory.config.substeps}]
+    delta, seed = config.deltas[0], config.seeds[0]
+    potential = config.build_potential()
+    drift, substeps = config.drift(potential, delta), config.substeps_at(delta)
+    states = simulate_cells(potential, [drift], config.diffusion, config.dt,
+                            config.n_steps, [config.initial], [NormalStream(seed)],
+                            substeps=substeps)[0]
+    drift_echo = None
+    if drift is not None:
+        drift_echo = {"kind": config.drift_kind, "delta": drift.delta}
+        if config.drift_kind == "constant":
+            drift_echo["vector"] = list(map(float, drift.vector))
+    save_trajectory(states, {
+        "potential": {"name": potential.name, "params": potential.params},
+        "drift": drift_echo, "diffusion": config.diffusion, "dt": config.dt,
+        "horizon": config.horizon, "initial": list(config.initial), "seed": seed,
+        "stream_id": 0, "substeps": substeps,
+    }, path)
     write_manifest(out / "manifest.json", config.to_dict(),
-                   {"trajectory": str(path), "substeps": substeps})
-    print(f"wrote {path} ({len(trajectory)} states)")
+                   {"trajectory": str(path),
+                    "substeps": [{"delta": delta, "substeps": substeps}]})
+    print(f"wrote {path} ({len(states)} states)")
     return 0
 
 

@@ -47,8 +47,6 @@ class RotationalDrift:
     potential: PotentialField
     delta: float
 
-    kind = "rotational"
-
     def base_eval(self, x) -> np.ndarray:
         """Unit-strength field C0 = S grad U."""
         return self.potential.grad(x) @ self.matrix.T
@@ -68,8 +66,6 @@ class ConstantDrift:
 
     vector: np.ndarray
     delta: float
-
-    kind = "constant"
 
     def base_eval(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)

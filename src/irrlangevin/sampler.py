@@ -1,16 +1,15 @@
 """Euler-Maruyama integration of dZ = [-grad U(Z) + C(Z)] dt + sqrt(2 D) dW.
 
-Trajectories are a pure function of ``(seed, stream_id, config)``: each
-(seed, stream) pair owns one counter-based normal stream (see ``rng``),
+Trajectories are a pure function of their inputs and ``(seed, stream_id)``:
+each (seed, stream) pair owns one counter-based normal stream (see ``rng``),
 consumed in step-major, coordinate-minor order, so repeated runs are
 bitwise identical and distinct streams can integrate in parallel with no
 shared state.
 
-The batch driver ``simulate_cells`` advances many (drift strength, stream)
-cells of a shared potential in lockstep, which is how table/sweep runs are
-executed; ``simulate`` is the single-trajectory wrapper around it.  One
-update rule, ``_em_path``, serves both the lockstep chunk loop and the
-replay that locates a blow-up.
+``simulate_cells`` is the one sampling entry point: it advances many (drift
+strength, stream) cells of a shared potential in lockstep, and a single
+trajectory is its one-cell case.  One update rule, ``_em_path``, serves both
+the lockstep chunk loop and the replay that locates a blow-up.
 
 Every supported drift enters the update in one affine form,
 C(Z) - grad U(Z) = grad U(Z) M + c (``_affine_drift``): no drift (M = -I),
@@ -25,12 +24,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .drift import ConstantDrift, RotationalDrift, unit_parts
+from .drift import unit_parts
 from .errors import DimensionError, ParameterError, PropagationError
 from .potentials import PotentialField
 from .rng import NORMAL_ALGORITHM, NormalStream
@@ -41,77 +39,6 @@ TRAJECTORY_VERSION = 1
 #: Nominal integration steps per noise chunk of ``simulate_cells``: a chunk
 #: holds cells x max(substeps, NOISE_CHUNK) x d normals at most.
 NOISE_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class SdeConfig:
-    """Everything needed to reproduce one trajectory bit for bit.
-
-    ``substeps`` integrates at dt/substeps while recording every dt: strong
-    irreversibility makes the Euler update spiral unstable (the linearized
-    well update has multiplier |1 + dt(-I + delta J)H| > 1 once
-    delta^2 dt is large), so stiff-drift cells need a finer integration
-    step than the recording grid."""
-
-    potential: PotentialField
-    drift: ConstantDrift | RotationalDrift | None  # None: reversible dynamics
-    diffusion: float
-    dt: float
-    horizon: float
-    initial: tuple[float, ...]
-    seed: int
-    stream_id: int = 0
-    substeps: int = 1
-
-    def __post_init__(self):
-        _check_step(self.diffusion, self.dt, self.substeps)
-        if self.horizon < self.dt:
-            raise ParameterError("horizon must be at least one step (dt <= horizon)")
-        if len(self.initial) != self.potential.dimension:
-            raise DimensionError(
-                f"initial state has dimension {len(self.initial)}, potential "
-                f"has dimension {self.potential.dimension}"
-            )
-
-    @property
-    def n_steps(self) -> int:
-        # guard against 294999-style float representation of horizon/dt
-        return int(math.floor(self.horizon / self.dt + 1e-9))
-
-    def to_dict(self) -> dict:
-        drift = self.drift
-        drift_echo = None
-        if drift is not None:
-            drift_echo = {"kind": getattr(drift, "kind", type(drift).__name__),
-                          "delta": drift.delta}
-            if isinstance(drift, ConstantDrift):
-                drift_echo["vector"] = list(map(float, drift.vector))
-        return {
-            "potential": {"name": self.potential.name, "params": self.potential.params},
-            "drift": drift_echo,
-            "diffusion": self.diffusion,
-            "dt": self.dt,
-            "horizon": self.horizon,
-            "initial": list(self.initial),
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "substeps": self.substeps,
-        }
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States at times 0, dt, 2 dt, ..., with full generation provenance."""
-
-    states: np.ndarray  # (n_steps + 1, d)
-    config: SdeConfig
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) * self.config.dt
 
 
 def _check_step(diffusion: float, dt: float, substeps: int) -> None:
@@ -262,15 +189,6 @@ def simulate_cells(
     return out
 
 
-def simulate(config: SdeConfig, chunk_size: int = NOISE_CHUNK) -> Trajectory:
-    """Integrate one trajectory; identical bytes for identical config."""
-    states = simulate_cells(
-        config.potential, [config.drift], config.diffusion, config.dt, config.n_steps,
-        [config.initial], [NormalStream(config.seed, config.stream_id)],
-        substeps=config.substeps, chunk_size=chunk_size)[0]
-    return Trajectory(states=states, config=config)
-
-
 def stable_substeps(delta: float, dt: float) -> int:
     """Substep count keeping the Euler update of a rotation-dominated well
     contractive with margin: integration step <= dt / ceil(4 delta^2 dt).
@@ -282,18 +200,19 @@ def stable_substeps(delta: float, dt: float) -> int:
     return max(1, math.ceil(4.0 * delta * delta * dt))
 
 
-def save_trajectory(trajectory: Trajectory, path) -> None:
+def save_trajectory(states, config: dict, path) -> None:
     """Write header (one JSON line) followed by raw little-endian float64
-    rows, one row per time step."""
+    rows, one row per time step.  ``config`` is the run's echo; it must hold
+    the ``initial`` state, whose length ``load_trajectory`` reads as d."""
     header = {
         "format": TRAJECTORY_FORMAT,
         "version": TRAJECTORY_VERSION,
         "rng": NORMAL_ALGORITHM,
-        "config": trajectory.config.to_dict(),
+        "config": config,
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(trajectory.states, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(states, dtype="<f8").tobytes())
 
 
 def load_trajectory(path) -> tuple[dict, np.ndarray]:

@@ -245,7 +245,9 @@ def test_criterion_9_ci_coverage():
     # cover that value, not the Gibbs value 2D = 0.2.
     chain_sumsq = 0.2 / (1.0 - dt * (1.0 + 10.0**2) / 2.0)
     assert chain_sumsq > 1.05 * 0.2  # the step's stationary bias at delta = 10
-    coverage = {}
+    # Coverage alone cannot tell 0.2 from chain_sumsq at this horizon; the
+    # mean of the estimates, with its standard error, can.
+    coverage, means = {}, {}
     for i, (delta, target) in enumerate(((0.0, 0.2), (10.0, chain_sumsq))):
         assert stable_substeps(delta, dt) == 1
         drift = make_rotational_drift(J2, quad, delta) if delta else None
@@ -255,13 +257,22 @@ def test_criterion_9_ci_coverage():
             [NormalStream(1000 + k, i) for k in range(replications)],
             observable=lambda z: np.sum(z**2, axis=-1),
         )
-        coverage[delta] = sum(batch_means(series[k], m, 0.05, dt, burn_in).covers(target)
-                              for k in range(replications))
+        reports = [batch_means(s, m, 0.05, dt, burn_in) for s in series]
+        coverage[delta] = sum(r.covers(target) for r in reports)
+        estimates = np.array([r.estimate for r in reports])
+        means[delta] = (estimates.mean(), estimates.std(ddof=1) / np.sqrt(replications),
+                        target)
     elapsed = time.perf_counter() - start
     report(9, "coverage " + ", ".join(
         f"delta {delta:g}: {covered}/{replications} ({covered / replications:.1%})"
-        for delta, covered in coverage.items()) + f" >= 88% ({elapsed:.1f}s)")
+        for delta, covered in coverage.items()) + " >= 88%; mean " + ", ".join(
+        f"delta {delta:g}: {mean:.5f} +- {se:.5f} (target {target:.5f})"
+        for delta, (mean, se, target) in means.items()) + f" ({elapsed:.1f}s)")
     assert all(covered >= 0.88 * replications for covered in coverage.values())
+    for mean, se, target in means.values():
+        assert abs(mean - target) <= 3.0 * se
+    mean, se, _ = means[10.0]
+    assert mean - 0.2 > 3.0 * se  # the integrator's bias, not the Gibbs value
     assert elapsed < 300.0
 
 
@@ -285,11 +296,13 @@ def test_criterion_10_cli_determinism(tmp_path):
         out = tmp_path / name
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         digests[name] = (
             (out / "results.csv").read_bytes(),
             (out / "sweep.csv").read_bytes(),
+            (out / "trajectory.traj").read_bytes(),
         )
     elapsed = time.perf_counter() - start
-    report(10, f"results.csv and sweep.csv byte-identical across reruns "
-               f"({elapsed:.1f}s)")
+    report(10, f"results.csv, sweep.csv and trajectory.traj byte-identical across "
+               f"reruns ({elapsed:.1f}s)")
     assert digests["a"] == digests["b"]

@@ -119,10 +119,32 @@ def test_simulate_writes_trajectory(tmp_path):
     save = tmp_path / "new" / "traj.bin"  # a missing parent is created
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--save-path", str(save)]) == 0
-    from irrlangevin.sampler import load_trajectory
     header, states = load_trajectory(save)
     assert states.shape == (1001, 2)
     assert header["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("potential, drift, echo", [
+    ("quadratic", {"kind": "none", "deltas": [2.0]}, None),
+    ("quadratic", {"kind": "rotational", "deltas": [2.0, 0.0]},
+     {"kind": "rotational", "delta": 2.0}),
+    ({"name": "torus-zero", "params": {"dim": 2}}, {"kind": "constant", "deltas": [2]},
+     {"kind": "constant", "delta": 2.0, "vector": [1.0, 1.0]}),
+])
+def test_simulate_header_echoes_the_run(tmp_path, potential, drift, echo):
+    # the first delta and seed ran; params hold the builder defaults
+    doc = ou_config(potential=potential, drift=drift, horizon=0.01, burn_in=0.0,
+                    seeds=[4, 5], checkpoints=[0.01], batches=2)
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out",
+                 str(out)]) == 0
+    header, states = load_trajectory(out / "trajectory.traj")
+    name = potential if isinstance(potential, str) else potential["name"]
+    assert header["config"] == {
+        "potential": {"name": name, "params": {"dim": 2}}, "drift": echo,
+        "diffusion": 0.1, "dt": 1e-3, "horizon": 0.01, "initial": [0.0, 0.0],
+        "seed": 4, "stream_id": 0, "substeps": 1}
+    assert states.shape == (11, 2)
 
 
 def test_sweep_emits_per_seed_bands(tmp_path):
@@ -257,9 +279,11 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
     ran = []
 
     def fake_simulate_cells(potential, drifts, diffusion, dt, n_steps, *args, substeps,
-                            **kwargs):
+                            observable=None, **kwargs):
         ran.append((0.0 if drifts[0] is None else drifts[0].delta, substeps))
-        return np.random.default_rng(0).standard_normal((len(drifts), n_steps + 1))
+        shape = (len(drifts), n_steps + 1) + ((potential.dimension,) if observable is None
+                                              else ())
+        return np.random.default_rng(0).standard_normal(shape)
 
     monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells)
     deltas = [100.0, 0.0] if argv[0] == "simulate" else [0.0, 100.0]
@@ -273,8 +297,7 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
     assert manifest["substeps"] == [{"delta": d, "substeps": n} for d, n in expected]
     if argv[0] == "simulate":
         assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 40
-    else:
-        assert ran == expected
+    assert ran == expected
 
 
 @pytest.mark.parametrize("argv, deltas", [
@@ -317,7 +340,7 @@ def solvers(monkeypatch):
             raise SolveStarted(name)
         return entry
 
-    for name in ("simulate", "simulate_cells", "rate_irreversible", "rate_curvature"):
+    for name in ("simulate_cells", "rate_irreversible", "rate_curvature"):
         monkeypatch.setattr(cli, name, stub(name))
     return calls
 
@@ -389,6 +412,13 @@ BAD_INPUTS = {
     "unknown_density_key": (
         "ratefn", rate_config(density={"kind": "uniform", "paht": "d.txt"}), []),
     "unknown_spectral_key": ("spectral", spectral_config(delta=[1.0]), []),
+    "ratefn_rotational_vector": (
+        "ratefn", rate_config(
+            potential={"name": "torus-cosine", "params": {"a": 0.5, "b": 0.5}},
+            drift={"kind": "rotational", "delta": 1.0, "vector": [7, 7]}), []),
+    "substeps_zero": ("estimate", ou_config(substeps=0), []),
+    "horizon_below_one_step": ("estimate", ou_config(horizon=5e-4, burn_in=0.0), []),
+    "initial_wrong_dimension": ("estimate", ou_config(initial=[0.0]), []),
 }
 #: What the message of a BAD_INPUTS case must name, where it is not just a value.
 NAMED_IN_MESSAGE = {
@@ -398,6 +428,7 @@ NAMED_IN_MESSAGE = {
     "unknown_top_level_key": "unknown or unused key 'bogus'",
     "unknown_density_key": "unknown or unused key 'density.paht'",
     "unknown_spectral_key": "unknown or unused key 'delta'",
+    "ratefn_rotational_vector": "unknown or unused key 'drift.vector'",
 }
 
 

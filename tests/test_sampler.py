@@ -4,17 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
+from irrlangevin.cli import ExperimentConfig
 from irrlangevin.drift import J2, make_constant_drift, make_rotational_drift
-from irrlangevin.errors import DimensionError, ParameterError, PropagationError
+from irrlangevin.errors import (
+    ConfigError, DimensionError, ParameterError, PropagationError,
+)
 from irrlangevin.estimators import OBSERVABLES, ergodic_average
 from irrlangevin.potentials import get_potential
 from irrlangevin.rng import NORMAL_ALGORITHM, NormalStream
 from irrlangevin.sampler import (
-    SdeConfig,
+    NOISE_CHUNK,
     _affine_drift,
     load_trajectory,
     save_trajectory,
-    simulate,
     simulate_cells,
     stable_substeps,
 )
@@ -40,22 +42,13 @@ def em_step(state, potential, drift, diffusion, dt, noise):
                           [_FixedNormals(noise)])[0, 1]
 
 
-def series(config, observable):
-    """The one-cell ``simulate_cells`` series of f(Z_t) that ``simulate``
-    would record as states."""
-    return simulate_cells(
-        config.potential, [config.drift], config.diffusion, config.dt, config.n_steps,
-        [config.initial], [NormalStream(config.seed, config.stream_id)],
-        observable=observable, substeps=config.substeps)[0]
-
-
-def quad_config(**kw):
-    base = dict(
-        potential=QUAD, drift=None, diffusion=0.1, dt=1e-3, horizon=1.0,
-        initial=(1.0, 1.0), seed=1,
-    )
-    base.update(kw)
-    return SdeConfig(**base)
+def run(drift=None, diffusion=0.1, dt=1e-3, n_steps=1000, initial=(1.0, 1.0), seed=1,
+        stream_id=0, substeps=1, observable=None, chunk_size=NOISE_CHUNK):
+    """One ``simulate_cells`` cell on quadratic U: its states at 0, dt, ...,
+    n_steps dt, or the series of ``observable`` on them."""
+    return simulate_cells(QUAD, [drift], diffusion, dt, n_steps, [initial],
+                          [NormalStream(seed, stream_id)], observable=observable,
+                          substeps=substeps, chunk_size=chunk_size)[0]
 
 
 def test_em_step_deterministic_euler():
@@ -105,66 +98,60 @@ def test_em_step_rejects_non_finite():
 
 
 def test_trajectory_length_contract():
-    traj = simulate(quad_config(horizon=0.5))
-    assert len(traj) == 501
-    assert traj.times[-1] == pytest.approx(0.5)
+    # n_steps recorded steps after the initial state, on every path
+    assert run(n_steps=500).shape == (501, 2)
+    assert run(n_steps=500, observable=OBSERVABLES["sumsq"].fn).shape == (501,)
+    assert run(n_steps=0).tolist() == [[1.0, 1.0]]
 
 
 def test_deterministic_gradient_flow_decay():
-    cfg = quad_config(diffusion=0.0, horizon=10.0, initial=(1.0, 1.0))
-    traj = simulate(cfg)
+    states = run(diffusion=0.0, n_steps=10000, initial=(1.0, 1.0))
     expected = math.exp(-10.0)
-    assert np.max(np.abs(traj.states[-1] - expected)) <= 1e-2
+    assert np.max(np.abs(states[-1] - expected)) <= 1e-2
 
 
 def test_bitwise_reproducibility():
-    cfg = quad_config(diffusion=0.1, horizon=2.0, seed=77, stream_id=3)
-    a = simulate(cfg)
-    b = simulate(cfg)
-    np.testing.assert_array_equal(a.states, b.states)
+    a = run(diffusion=0.1, n_steps=2000, seed=77, stream_id=3)
+    b = run(diffusion=0.1, n_steps=2000, seed=77, stream_id=3)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_chunk_size_does_not_change_bytes():
-    cfg = quad_config(diffusion=0.1, horizon=2.0, seed=5)
-    a = simulate(cfg, chunk_size=100)
-    b = simulate(cfg, chunk_size=4096)
-    np.testing.assert_array_equal(a.states, b.states)
+    a = run(diffusion=0.1, n_steps=2000, seed=5, chunk_size=100)
+    b = run(diffusion=0.1, n_steps=2000, seed=5, chunk_size=4096)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_series_matches_materialized_states():
-    cfg = quad_config(diffusion=0.1, horizon=1.0, seed=11)
-    traj = simulate(cfg)
-    sumsq = series(cfg, OBSERVABLES["sumsq"].fn)
-    np.testing.assert_array_equal(sumsq, np.sum(traj.states**2, axis=-1))
+    states = run(diffusion=0.1, seed=11)
+    sumsq = run(diffusion=0.1, seed=11, observable=OBSERVABLES["sumsq"].fn)
+    np.testing.assert_array_equal(sumsq, np.sum(states**2, axis=-1))
 
 
 def test_substeps_keep_recording_grid():
     # deterministic flow: substeps refine the integration error but the
     # recording grid is unchanged
-    cfg1 = quad_config(diffusion=0.0, dt=0.1, horizon=1.0, substeps=1)
-    cfg4 = quad_config(diffusion=0.0, dt=0.1, horizon=1.0, substeps=4)
-    a, b = simulate(cfg1), simulate(cfg4)
+    a = run(diffusion=0.0, dt=0.1, n_steps=10, substeps=1)
+    b = run(diffusion=0.0, dt=0.1, n_steps=10, substeps=4)
     assert len(a) == len(b) == 11
-    exact = np.exp(-a.times)[:, None] * np.array(cfg1.initial)
-    err1 = np.max(np.abs(a.states - exact))
-    err4 = np.max(np.abs(b.states - exact))
+    exact = np.exp(-0.1 * np.arange(11))[:, None] * np.array([1.0, 1.0])
+    err1 = np.max(np.abs(a - exact))
+    err4 = np.max(np.abs(b - exact))
     assert 0 < err4 < err1
 
 
 def test_substeps_consume_independent_noise():
-    cfg1 = quad_config(diffusion=0.1, horizon=1.0, seed=2, substeps=1)
-    cfg4 = quad_config(diffusion=0.1, horizon=1.0, seed=2, substeps=4)
-    a, b = simulate(cfg1), simulate(cfg4)
+    a = run(diffusion=0.1, seed=2, substeps=1)
+    b = run(diffusion=0.1, seed=2, substeps=4)
     assert len(a) == len(b)
-    assert not np.array_equal(a.states, b.states)
+    assert not np.array_equal(a, b)
 
 
 def test_blowup_reports_step_index():
     # gradient flow on the quadratic with dt = 3 has multiplier |1-3| = 2,
     # overflowing float64 after ~1024 doublings
-    cfg = quad_config(diffusion=0.0, dt=3.0, horizon=3600.0, initial=(1.0, 1.0))
     with pytest.raises(PropagationError) as err:
-        simulate(cfg)
+        run(diffusion=0.0, dt=3.0, n_steps=1200, initial=(1.0, 1.0))
     assert err.value.step_index is not None
     assert err.value.step_index > 0
 
@@ -175,11 +162,11 @@ def test_blowup_step_index_is_first_non_finite_recorded_step(dt, substeps, step_
                                                              chunk_size):
     # x_n = (-2)^n per update of size 3 leaves float64 at update 1024, i.e.
     # recorded step 1024 / substeps, wherever the chunk boundaries fall
-    cfg = quad_config(diffusion=0.0, dt=dt, horizon=3600.0, substeps=substeps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PropagationError) as err:
-            simulate(cfg, chunk_size=chunk_size)
+            run(diffusion=0.0, dt=dt, n_steps=round(3600.0 / dt), substeps=substeps,
+                chunk_size=chunk_size)
     assert err.value.step_index == step_index
 
 
@@ -277,7 +264,7 @@ def test_drift_outside_the_affine_form_is_parameter_error(entry, drift):
             em_step([1.0, 1.0], bimodal, drift, 0.1, 1e-3, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("entry", ["simulate_cells", "em_step", "SdeConfig"])
+@pytest.mark.parametrize("entry", ["simulate_cells", "em_step", "ExperimentConfig"])
 @pytest.mark.parametrize("bad", [
     pytest.param({"diffusion": -0.1}, id="negative_diffusion"),
     pytest.param({"diffusion": math.nan}, id="nan_diffusion"),
@@ -289,14 +276,16 @@ def test_drift_outside_the_affine_form_is_parameter_error(entry, drift):
 ])
 def test_bad_dt_or_diffusion_is_parameter_error(entry, bad):
     kw = {"diffusion": 0.1, "dt": 1e-3, **bad}
-    with pytest.raises(ParameterError):
+    # the config layer checks the same values and reports a ConfigError
+    with pytest.raises(ConfigError if entry == "ExperimentConfig" else ParameterError):
         if entry == "simulate_cells":
             simulate_cells(QUAD, [None], kw["diffusion"], kw["dt"], 10, [(1.0, 1.0)],
                            [_NoNormals(1)])
         elif entry == "em_step":
             em_step([1.0, 1.0], QUAD, None, kw["diffusion"], kw["dt"], [0.0, 0.0])
         else:
-            quad_config(**kw)
+            ExperimentConfig(potential="quadratic", deltas=(0.0,), horizon=1.0,
+                             burn_in=0.1, seeds=(1,), **kw)
 
 
 def test_wrong_initial_count_is_dimension_error():
@@ -324,36 +313,28 @@ def test_em_step_overflow_is_propagation_error_not_warning():
 
 
 def test_invalid_configs_rejected():
-    with pytest.raises(ParameterError):
-        quad_config(dt=-1.0)
-    with pytest.raises(ParameterError):
-        quad_config(horizon=1e-6)
-    with pytest.raises(ParameterError):
-        quad_config(diffusion=-0.1)
+    # dt and diffusion: test_bad_dt_or_diffusion_is_parameter_error
     with pytest.raises(DimensionError):
-        quad_config(initial=(1.0,))
-    with pytest.raises(ParameterError):
-        quad_config(substeps=0)
+        run(initial=(1.0,))
+    with pytest.raises(ParameterError, match="substeps"):
+        run(substeps=0)
 
 
 def test_trajectory_file_roundtrip(tmp_path):
-    drift = make_rotational_drift(J2, QUAD, 2.0)
-    cfg = quad_config(drift=drift, diffusion=0.2, horizon=0.2, seed=9)
-    traj = simulate(cfg)
+    states = run(drift=make_rotational_drift(J2, QUAD, 2.0), diffusion=0.2, n_steps=200)
+    config = {"potential": {"name": "quadratic", "params": {"dim": 2}},
+              "drift": {"kind": "rotational", "delta": 2.0}, "initial": [1.0, 1.0]}
     path = tmp_path / "run.traj"
-    save_trajectory(traj, path)
-    header, states = load_trajectory(path)
-    np.testing.assert_array_equal(states, traj.states)
-    assert header["config"]["potential"]["name"] == "quadratic"
-    assert header["config"]["drift"] == {"kind": "rotational", "delta": 2.0}
-    assert header["config"]["seed"] == 9
-    assert header["rng"] == NORMAL_ALGORITHM
+    save_trajectory(states, config, path)
+    header, loaded = load_trajectory(path)
+    np.testing.assert_array_equal(loaded, states)
+    assert header == {"format": "irrlangevin-trajectory", "version": 1,
+                      "rng": NORMAL_ALGORITHM, "config": config}
 
 
 def test_stream_independence_of_increments():
-    cfgs = [quad_config(diffusion=0.1, horizon=10.0, seed=3, stream_id=sid)
-            for sid in (0, 1)]
-    inc = [np.diff(simulate(c).states[:, 0]) for c in cfgs]
+    inc = [np.diff(run(diffusion=0.1, n_steps=10000, seed=3, stream_id=sid)[:, 0])
+           for sid in (0, 1)]
     n = len(inc[0])
     corr = np.corrcoef(inc[0], inc[1])[0, 1]
     assert abs(corr) <= 3.0 / math.sqrt(n)
@@ -365,10 +346,44 @@ def test_stable_substeps_rule():
     assert stable_substeps(100.0, 1e-3) == 40
 
 
+def substep_radius(delta, dt):
+    """The spectral radius of one sampler substep on quadratic U at
+    ``stable_substeps(delta, dt)``, and the substep size h.  The update is
+    linear there, Z <- Z A with A = (1 - h) I + h delta J2^T, so one noiseless
+    recorded step from e1 and e2 gives the rows of A^n."""
+    n = stable_substeps(delta, dt)
+    power = simulate_cells(QUAD, [make_rotational_drift(J2, QUAD, delta)] * 2, 0.0, dt,
+                           1, np.eye(2), [NormalStream(0, i) for i in (0, 1)],
+                           substeps=n)[:, 1]
+    return np.max(np.abs(np.linalg.eigvals(power))) ** (1.0 / n), dt / n
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 10.0, 100.0])
+def test_stable_substeps_keep_the_linear_well_contractive(delta, dt):
+    # A's eigenvalues are (1 - h) +- i h delta
+    radius, h = substep_radius(delta, dt)
+    assert radius == pytest.approx(math.hypot(1.0 - h, h * delta), rel=0, abs=1e-12)
+    assert radius < 1.0
+
+
+@pytest.mark.parametrize("delta, bias", [(10.0, 0.0532), (100.0, 0.1429)])
+def test_stable_substeps_stationary_bias_at_dt_1e3(delta, bias):
+    # A A^T = radius^2 I, so the chain's stationary E|Z|^2 is 2D * 2h / (1 -
+    # radius^2), 1 / (1 - h (1 + delta^2) / 2) times the Gibbs value 2D.  A
+    # change to the substep rule has to update these numbers on purpose.
+    radius, h = substep_radius(delta, 1e-3)
+    relative = 2.0 * h / (1.0 - radius**2) - 1.0
+    assert relative == pytest.approx(1.0 / (1.0 - h * (1.0 + delta**2) / 2.0) - 1.0,
+                                     rel=1e-9)
+    assert round(relative, 4) == bias
+
+
 def test_ou_moment_short_horizon():
     # E[x^2 + y^2] = 2D for the stationary quadratic diffusion
-    cfg = quad_config(diffusion=0.1, horizon=300.0, seed=12, initial=(0.0, 0.0))
-    avg = ergodic_average(series(cfg, OBSERVABLES["sumsq"].fn), cfg.dt, burn_in=5.0)
+    sumsq = run(diffusion=0.1, n_steps=300000, seed=12, initial=(0.0, 0.0),
+                observable=OBSERVABLES["sumsq"].fn)
+    avg = ergodic_average(sumsq, 1e-3, burn_in=5.0)
     assert avg == pytest.approx(0.2, rel=0.15)
 
 
