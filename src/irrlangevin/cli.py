@@ -613,11 +613,14 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     config = _experiment_config(args)
+    for name, values in (("deltas", config.deltas), ("seeds", config.seeds)):
+        _check(len(values) == 1, f"simulate writes one trajectory, so it takes "
+                                 f"one of {name}, got {list(values)}")
     out = _out_dir(args)
     path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
     _make_dir(path.parent, "the directory of --save-path")
     _check(not path.is_dir(), f"--save-path {path} is a directory")
-    delta, seed = config.deltas[0], config.seeds[0]
+    (delta,), (seed,) = config.deltas, config.seeds
     potential = config.build_potential()
     drift, substeps = config.drift(potential, delta), config.substeps_at(delta)
     states = simulate_cells(potential, [drift], config.diffusion, config.dt,
@@ -681,10 +684,13 @@ def cmd_reproduce_table(args) -> int:
 
 
 def cmd_ratefn(args) -> int:
-    config = RateConfig.from_dict(_load_config_doc(args))
+    doc = _load_config_doc(args)
+    config = RateConfig.from_dict(doc)
     out = _out_dir(args)
+    start = time.perf_counter()
     report = rate_irreversible(config.density, config.potential, config.drift,
                                config.diffusion, compute_quadratic=config.quadratic)
+    wall_s = time.perf_counter() - start
     report_doc = {
         "I0": report.i0, "J_C": report.j_c, "I_C": report.i_c, "K": report.k,
         "diffusion": report.diffusion, "grid": list(report.grid_shape),
@@ -701,6 +707,12 @@ def cmd_ratefn(args) -> int:
         **report_doc, "potential": config.potential.name, "delta": config.drift.delta,
         "D": config.diffusion, "grid": config.density.size,
     }])
+    solves = {"main": {"iterations": report.gauge_iterations,
+                       "residual_rel": report.gauge_residual_rel}}
+    if config.quadratic:
+        solves["quadratic"] = {"iterations": report.quadratic_iterations,
+                               "residual_rel": report.quadratic_residual}
+    write_manifest(out / "manifest.json", doc, {"gauge_solves": solves, "wall_s": wall_s})
     print(f"wrote {out / 'rate_report.json'}")
     return 0
 

@@ -12,7 +12,10 @@ Conventions
   for smooth ones) with real transforms (``rfftn``/``irfftn``).  One table
   of derivative symbols i k, Nyquist mode zeroed, serves the gradient, the
   divergence (summed in Fourier space, then one inverse transform) and the
-  gauge solver's preconditioner.
+  gauge solver, whose conjugate-gradient state is held as ``rfftn``
+  spectra: an iteration makes 2 d + 1 transforms (5 on the 2-torus), its
+  preconditioner is one multiply, and its inner products are grid sums
+  computed on the half spectrum by Parseval's identity.
 * Quadrature is the plain grid mean, which is spectrally accurate on the
   torus and makes discrete integration by parts exact, so the continuum
   identities between the different rate representations hold at solver
@@ -224,12 +227,23 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
     """Solve div[p (b + grad psi)] = 0 for the mean-zero gauge field psi.
 
     The drift ``b`` is sampled on the grid with shape (d, *grid).  The
-    operator psi -> -div(p grad psi) is symmetric positive semidefinite
-    with a one-dimensional constant null space; the system is solved by
-    conjugate gradients preconditioned with a constant-coefficient inverse
-    Laplacian, on the mean-zero subspace, until max |residual| <=
-    GAUGE_RTOL * max |p b|.  More than 10 * (grid nodes) + 200 iterations
-    is a ``SolverError``.
+    operator psi -> -div(p grad psi) is symmetric positive semidefinite;
+    its null space is the constants and, on even grids, the modes whose
+    every derivative symbol is zeroed.  The system is solved by conjugate
+    gradients preconditioned with the constant-coefficient inverse
+    1/(p_bar |k|^2), p_bar the geometric mean of p, set to 0 on that null
+    space, which keeps every iterate mean-zero.
+
+    The CG state (iterate, residual, preconditioned residual, direction)
+    lives in Fourier space as ``rfftn`` spectra updated in preallocated
+    buffers: an iteration makes d inverse transforms for grad d, d forward
+    ones for the flux p grad d, and one inverse transform of the residual,
+    whose max norm is the stopping test max |residual| <= GAUGE_RTOL *
+    max |p b|.  Inner products are grid sums by Parseval's identity on the
+    half spectrum.  The best iterate is kept, a stall guard stops the loop
+    at the rounding floor, and the result must pass a real-space flux
+    check of 1e-10 * max |p b|; more than 10 * (grid nodes) + 200
+    iterations, or a failed check, is a ``SolverError``.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (p.dims,) + p.values.shape:
@@ -239,41 +253,66 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
     pv = p.values
     pb = pv * b
     scale = float(np.max(np.abs(pb)))
-    zeros = np.zeros_like(pv)
     if scale == 0.0:
-        return GaugeField(zeros, 0.0, 0.0, 0)
+        return GaugeField(np.zeros_like(pv), 0.0, 0.0, 0)
 
-    rhs = spectral_divergence(pb)
-    rhs -= rhs.mean()
+    shape, axes = pv.shape, tuple(range(pv.ndim))
+    symbols = _derivative_symbols(shape)
     tol = GAUGE_RTOL * scale
     max_iter = 10 * pv.size + 200
 
-    # constant-coefficient preconditioner: (p_hat * |k|^2)^-1 in Fourier space
-    ksq = -sum(ik * ik for ik in _derivative_symbols(pv.shape)).real
-    ksq[ksq == 0.0] = 1.0
-    p_ksq = float(np.exp(np.mean(np.log(pv)))) * ksq
+    # 1/(p_bar |k|^2), 0 where |k|^2 = 0: the zero mode and the all-Nyquist
+    # corners, the operator's null space
+    ksq = -sum(ik * ik for ik in symbols).real
+    inv_pksq = np.zeros_like(ksq)
+    np.divide(1.0 / float(np.exp(np.mean(np.log(pv)))), ksq,
+              out=inv_pksq, where=ksq > 0.0)
+    # Parseval weights of the rfftn half spectrum: the last axis's interior
+    # modes stand for themselves and their conjugates
+    weights = np.full(shape[-1] // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if shape[-1] % 2 == 0:
+        weights[-1] = 1.0
 
-    def precondition(r):
-        z = _inverse(np.fft.rfftn(r) / p_ksq, pv.shape)
-        return z - z.mean()
+    # CG state as rfftn spectra, updated in place: x, r, z, d, best x, the
+    # flux divergence q = div(p grad d) = -A d, and one scratch spectrum
+    x, r, z, d, best_x, q, scratch = np.zeros((7,) + ksq.shape, dtype=complex)
+    grad = np.empty_like(pb)
+    r_real = np.empty_like(pv)
 
-    def apply_operator(psi):
-        return -spectral_divergence(pv * spectral_gradient(psi))
+    def dot(u, v) -> float:
+        """size * (grid sum of the fields u v), by Parseval; CG uses only
+        ratios of these."""
+        np.multiply(v, weights, out=scratch)
+        return float(np.vdot(u, scratch).real)
 
-    x = zeros.copy()
-    r = rhs.copy()
-    best_x, best_res = x.copy(), float(np.max(np.abs(r)))
-    z = precondition(r)
-    d = z.copy()
-    rz = float(np.vdot(r, z).real)
+    def div_spectrum(fields, out):
+        """rfftn spectrum of sum_a d/dx_a fields[a] into ``out``."""
+        for a, (ik, f) in enumerate(zip(symbols, fields)):
+            target = out if a == 0 else scratch
+            np.fft.rfftn(f, out=target)
+            np.multiply(target, ik, out=target)
+            if a:
+                out += scratch
+
+    def max_abs_real(spectrum) -> float:
+        np.fft.irfftn(spectrum, s=shape, axes=axes, out=r_real)
+        return max(float(r_real.max()), -float(r_real.min()))
+
+    div_spectrum(pb, r)  # the residual at x = 0 is the right-hand side div(p b)
+    best_res = max_abs_real(r)
+    np.multiply(r, inv_pksq, out=z)
+    np.copyto(d, z)
+    rz = dot(r, z)
     iterations = 0
     stall = 0
     while True:
-        res = float(np.max(np.abs(r)))
+        res = max_abs_real(r)
         if res < best_res:
             if res < 0.999 * best_res:
                 stall = 0
-            best_res, best_x = res, x.copy()
+            best_res = res
+            np.copyto(best_x, x)
         else:
             stall += 1
         if res <= tol:
@@ -284,18 +323,24 @@ def solve_gauge_field(p: GridDensity, b: np.ndarray) -> GaugeField:
             raise SolverError(
                 f"gauge solver did not converge in {max_iter} iterations "
                 f"(residual {res:.3e}, target {tol:.3e})")
-        Ad = apply_operator(d)
-        alpha = rz / float(np.vdot(d, Ad).real)
-        x = x + alpha * d
-        r = r - alpha * Ad
-        r -= r.mean()
-        z = precondition(r)
-        rz_new = float(np.vdot(r, z).real)
-        d = z + (rz_new / rz) * d
+        for ik, g in zip(symbols, grad):
+            np.multiply(d, ik, out=scratch)
+            np.fft.irfftn(scratch, s=shape, axes=axes, out=g)
+        np.multiply(grad, pv, out=grad)
+        div_spectrum(grad, q)
+        alpha = -rz / dot(d, q)
+        np.multiply(d, alpha, out=scratch)
+        x += scratch
+        np.multiply(q, alpha, out=scratch)
+        r += scratch
+        np.multiply(r, inv_pksq, out=z)
+        rz_new = dot(r, z)
+        d *= rz_new / rz
+        d += z
         rz = rz_new
         iterations += 1
 
-    x = best_x
+    x = _inverse(best_x, shape)
     flux = pv * (b + spectral_gradient(x))
     residual = float(np.max(np.abs(spectral_divergence(flux))))
     if residual > 1e-10 * scale:
@@ -326,6 +371,7 @@ class RateReport:
     lemma_mismatch: float
     k: float | None = None
     quadratic_residual: float | None = None
+    quadratic_iterations: int | None = None
 
 
 def _energy(p: GridDensity, g: np.ndarray, diffusion: float) -> float:
@@ -401,6 +447,7 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
         lemma_mismatch=abs(i_c - lemma_value),
         k=k,
         quadratic_residual=None if quad is None else quad.residual_rel,
+        quadratic_iterations=None if quad is None else quad.iterations,
     )
 
 

@@ -291,12 +291,16 @@ def test_criterion_10_cli_determinism(tmp_path):
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
+    # simulate writes one trajectory: one delta, one seed
+    one_cell = tmp_path / "one_cell.json"
+    one_cell.write_text(json.dumps({**doc, "drift": {"kind": "rotational", "deltas": [0.0]},
+                                    "seeds": [7]}))
     digests = {}
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(one_cell), "--out", str(out)]) == 0
         digests[name] = (
             (out / "results.csv").read_bytes(),
             (out / "sweep.csv").read_bytes(),

@@ -126,15 +126,15 @@ def test_simulate_writes_trajectory(tmp_path):
 
 @pytest.mark.parametrize("potential, drift, echo", [
     ("quadratic", {"kind": "none", "deltas": [2.0]}, None),
-    ("quadratic", {"kind": "rotational", "deltas": [2.0, 0.0]},
+    ("quadratic", {"kind": "rotational", "deltas": [2.0]},
      {"kind": "rotational", "delta": 2.0}),
     ({"name": "torus-zero", "params": {"dim": 2}}, {"kind": "constant", "deltas": [2]},
      {"kind": "constant", "delta": 2.0, "vector": [1.0, 1.0]}),
 ])
 def test_simulate_header_echoes_the_run(tmp_path, potential, drift, echo):
-    # the first delta and seed ran; params hold the builder defaults
+    # params hold the builder defaults
     doc = ou_config(potential=potential, drift=drift, horizon=0.01, burn_in=0.0,
-                    seeds=[4, 5], checkpoints=[0.01], batches=2)
+                    seeds=[4], checkpoints=[0.01], batches=2)
     out = tmp_path / "s"
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out",
                  str(out)]) == 0
@@ -214,6 +214,36 @@ def test_ratefn_cli(tmp_path):
     assert summary[0] == "potential,delta,D,grid,I0,J_C,I_C,K"
 
 
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_ratefn_manifest_records_the_gauge_solves(tmp_path, quadratic):
+    doc = {
+        "grid": 32,
+        "potential": {"name": "torus-cosine", "params": {"a": 0.5, "b": 0.5}},
+        "density": {"kind": "gibbs", "shift": [1.0, 0.0]},
+        "drift": {"kind": "rotational", "delta": 2.0},
+        "quadratic": quadratic,
+    }
+    cfg = write_config(tmp_path, doc)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["ratefn", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("rate_report.json", "rate_summary.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    report = json.loads((outs[0] / "rate_report.json").read_text())
+    assert manifest["config"] == doc
+    solves = manifest["gauge_solves"]
+    assert set(solves) == ({"main", "quadratic"} if quadratic else {"main"})
+    assert solves["main"] == {"iterations": report["gauge_iterations"],
+                              "residual_rel": report["gauge_residual_rel"]}
+    for solve in solves.values():
+        assert set(solve) == {"iterations", "residual_rel"}
+        assert solve["iterations"] > 0 and 0.0 <= solve["residual_rel"] <= 1e-10
+    if quadratic:
+        assert solves["quadratic"]["residual_rel"] == report["quadratic_residual"]
+    assert manifest["wall_s"] > 0
+
+
 def test_ratefn_cli_density_file(tmp_path):
     x = 2 * np.pi * np.arange(128) / 128
     values = 1.0 + 0.5 * np.cos(x)
@@ -286,7 +316,7 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
         return np.random.default_rng(0).standard_normal(shape)
 
     monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells)
-    deltas = [100.0, 0.0] if argv[0] == "simulate" else [0.0, 100.0]
+    deltas = [100.0] if argv[0] == "simulate" else [0.0, 100.0]
     cfg = write_config(tmp_path, ou_config(drift={"deltas": deltas}, horizon=0.05,
                                            burn_in=0.01, seeds=[1]))
     out = tmp_path / "out"
@@ -419,6 +449,10 @@ BAD_INPUTS = {
     "substeps_zero": ("estimate", ou_config(substeps=0), []),
     "horizon_below_one_step": ("estimate", ou_config(horizon=5e-4, burn_in=0.0), []),
     "initial_wrong_dimension": ("estimate", ou_config(initial=[0.0]), []),
+    "simulate_two_deltas": (
+        "simulate", ou_config(drift={"kind": "rotational", "deltas": [0.0, 1.0]},
+                              seeds=[1]), []),
+    "simulate_two_seeds": ("simulate", ou_config(seeds=[1]), ["--seeds", "1,2"]),
 }
 #: What the message of a BAD_INPUTS case must name, where it is not just a value.
 NAMED_IN_MESSAGE = {
@@ -429,6 +463,8 @@ NAMED_IN_MESSAGE = {
     "unknown_density_key": "unknown or unused key 'density.paht'",
     "unknown_spectral_key": "unknown or unused key 'delta'",
     "ratefn_rotational_vector": "unknown or unused key 'drift.vector'",
+    "simulate_two_deltas": "one of deltas, got [0.0, 1.0]",
+    "simulate_two_seeds": "one of seeds, got [1, 2]",
 }
 
 

@@ -216,6 +216,53 @@ def test_gauge_rejects_shape_mismatch():
         solve_gauge_field(p, np.zeros((2, 64)))
 
 
+def random_smooth_drift(shape, seed):
+    """A smooth vector field of shape (d, *grid): the logs of independent
+    random smooth densities, one per component."""
+    return np.stack([np.log(random_smooth_density(shape[0], len(shape), seed=seed + a)
+                            .values) for a in range(len(shape))])
+
+
+@pytest.mark.parametrize("shape", [(9,), (16,), (9, 9), (10, 10)])
+def test_gauge_solve_matches_dense_reference(shape):
+    # psi -> -div(p grad psi) as a dense matrix, built column by column from
+    # the same spectral operators; the minimum-norm least-squares solution
+    # is the mean-zero one (and has no all-Nyquist component on even grids)
+    p = random_smooth_density(shape[0], len(shape), seed=shape[-1])
+    b = random_smooth_drift(shape, seed=10 * shape[-1])
+    columns = []
+    for e in np.eye(p.values.size):
+        e = e.reshape(shape)
+        columns.append(-spectral_divergence(p.values * spectral_gradient(e)).ravel())
+    rhs = spectral_divergence(p.values * b).ravel()
+    expected = np.linalg.lstsq(np.stack(columns, axis=1), rhs, rcond=None)[0]
+    assert abs(expected.mean()) <= 1e-12
+    gauge = solve_gauge_field(p, b)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(gauge.values.ravel() - expected)) <= 1e-9 * scale
+    # preconditioned CG ends within the rank of the operator
+    assert 0 < gauge.iterations < p.values.size
+
+
+def test_gauge_solve_fft_budget(monkeypatch):
+    # the CG state is spectral: each iteration makes d inverse transforms
+    # for grad d, d forward ones for the flux and one inverse for the
+    # residual's max norm, 5 on the 2-torus
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _transform=transform, **kwargs):
+            calls.append(_transform.__name__)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    p = random_smooth_density(64, 2, seed=5)
+    gauge = solve_gauge_field(p, random_smooth_drift((64, 64), seed=7))
+    assert gauge.iterations > 10
+    assert len(calls) <= 5 * gauge.iterations + 12
+
+
 # ---------------------------------------------------------------------------
 # reversible rate
 
