@@ -5,7 +5,7 @@ Subpackages:
 * ``potentials`` -- energy landscapes on R^d and flat tori
 * ``drift``      -- invariant-measure-preserving irreversible drifts
 * ``sampler``    -- Euler-Maruyama integration with reproducible streams
-* ``estimators`` -- ergodic averages, batch means, asymptotic variance
+* ``estimators`` -- batch-means ergodic averages, asymptotic variance
 * ``ratefn``     -- empirical-measure rate functionals on periodic grids
 * ``spectral``   -- exact circle variances; principal eigenvalues and
                     observable rate functions on the circle and the 2-torus
@@ -14,14 +14,12 @@ Subpackages:
 
 from .drift import (
     J2,
-    antisymmetric_matrix,
     check_invariance,
     make_constant_drift,
     make_rotational_drift,
 )
 from .errors import (
     ConfigError,
-    ConstructionError,
     DimensionError,
     DomainError,
     ParameterError,
@@ -35,7 +33,6 @@ from .estimators import (
     asymptotic_variance_estimate,
     batch_count_schedule,
     batch_means,
-    ergodic_average,
     get_observable,
     t_quantile,
 )
@@ -44,10 +41,7 @@ from .ratefn import (
     GaugeField,
     GridDensity,
     RateReport,
-    circle_rate_closed_form,
-    quadratic_coefficient,
     rate_irreversible,
-    rate_reversible,
     solve_gauge_field,
 )
 from .rng import NORMAL_ALGORITHM, NormalStream
@@ -57,7 +51,6 @@ from .spectral import (
     ObservableRateCurve,
     ScaledCgf,
     fourier_sigma2,
-    generator_spectrum,
     observable_rate,
     rate_curvature,
 )

@@ -23,13 +23,14 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .drift import J2, check_invariance, make_constant_drift, make_rotational_drift
+from .drift import check_invariance, make_constant_drift, make_rotational_drift
 from .errors import ConfigError, ParameterError, PropagationError, SolverError
 from .estimators import (
     asymptotic_variance_estimate, batch_count_schedule, batch_means, get_observable,
@@ -185,7 +186,7 @@ def build_drift(kind: str, potential, delta: float, vector=None):
     vector, so it is rejected unless check_invariance finds c0 . grad U zero
     at a fixed set of points."""
     if kind == "rotational":
-        return make_rotational_drift(J2, potential, delta)
+        return make_rotational_drift(potential, delta)
     if kind == "constant":
         vector = (1.0,) * potential.dimension if vector is None else vector
         _check(len(vector) == potential.dimension,
@@ -482,19 +483,32 @@ def _format_value(value) -> str:
     return "" if value is None else str(value)
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError from writing ``path`` as a ConfigError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: Path, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_value(row[c]) for c in columns])
 
 
+def write_json(path: Path, doc: dict) -> None:
+    with _writing(path):
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_manifest(path: Path, config_doc: dict, extra: dict | None = None) -> None:
-    doc = {"version": __version__, "rng": NORMAL_ALGORITHM,
-           "created": time.strftime("%Y-%m-%dT%H:%M:%S"), "config": config_doc,
-           **(extra or {})}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"version": __version__, "rng": NORMAL_ALGORITHM,
+                      "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                      "config": config_doc, **(extra or {})})
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +529,6 @@ class TableComparison:
     cells: dict
     config: ExperimentConfig
     sampler_timing: list
-
-    def ratio(self, delta: float, t: float) -> float:
-        return self.cells[(delta, t)].measured_ratio
 
     @property
     def all_pass(self) -> bool:
@@ -631,12 +642,13 @@ def cmd_simulate(args) -> int:
         drift_echo = {"kind": config.drift_kind, "delta": drift.delta}
         if config.drift_kind == "constant":
             drift_echo["vector"] = list(map(float, drift.vector))
-    save_trajectory(states, {
-        "potential": {"name": potential.name, "params": potential.params},
-        "drift": drift_echo, "diffusion": config.diffusion, "dt": config.dt,
-        "horizon": config.horizon, "initial": list(config.initial), "seed": seed,
-        "stream_id": 0, "substeps": substeps,
-    }, path)
+    with _writing(path):
+        save_trajectory(states, {
+            "potential": {"name": potential.name, "params": potential.params},
+            "drift": drift_echo, "diffusion": config.diffusion, "dt": config.dt,
+            "horizon": config.horizon, "initial": list(config.initial), "seed": seed,
+            "stream_id": 0, "substeps": substeps,
+        }, path)
     write_manifest(out / "manifest.json", config.to_dict(),
                    {"trajectory": str(path),
                     "substeps": [{"delta": delta, "substeps": substeps}]})
@@ -700,8 +712,7 @@ def cmd_ratefn(args) -> int:
         "quadratic_residual": report.quadratic_residual,
         "lemma_value": report.lemma_value, "lemma_mismatch": report.lemma_mismatch,
     }
-    (out / "rate_report.json").write_text(
-        json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "rate_report.json", report_doc)
     columns = ["potential", "delta", "D", "grid", "I0", "J_C", "I_C", "K"]
     write_csv(out / "rate_summary.csv", columns, [{
         **report_doc, "potential": config.potential.name, "delta": config.drift.delta,

@@ -4,8 +4,8 @@ A drift field C qualifies when div(C e^{-2U}) = 0, or equivalently
 div C = 2 C . grad U.  Two constructions are provided, both divergence free,
 so for them the condition is exactly C . grad U = 0:
 
-* rotational -- C0 = S grad U for a constant antisymmetric matrix S, which
-  is orthogonal to grad U;
+* rotational -- C0 = J2 grad U on a potential in 2 dimensions, which is
+  orthogonal to grad U because J2 is antisymmetric;
 * constant -- C0 = c0, which qualifies on a potential flat along c0 (the
   circle diagnostics, where d = 1 admits no rotational field).
 
@@ -19,40 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 from .potentials import PotentialField
 
 #: Standard 2x2 antisymmetric matrix, J[0,1] = 1, J[1,0] = -1.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def antisymmetric_matrix(entries) -> np.ndarray:
-    """Validate and return a constant antisymmetric matrix.
-
-    Rejects input whose symmetric part exceeds 1e-15 entrywise.
-    """
-    S = np.asarray(entries, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ConstructionError(f"antisymmetric matrix must be square, got {S.shape}")
-    if np.max(np.abs(S + S.T)) > 1e-15:
-        raise ConstructionError("matrix is not antisymmetric: |S + S^T| > 1e-15")
-    return S
-
-
 @dataclass(frozen=True)
 class RotationalDrift:
-    """C(x) = delta * S grad U(x) with S constant antisymmetric."""
+    """C(x) = delta * J2 grad U(x) for a potential in 2 dimensions."""
 
-    matrix: np.ndarray
     potential: PotentialField
     delta: float
 
-    def base_eval(self, x) -> np.ndarray:
-        """Unit-strength field C0 = S grad U."""
-        return self.potential.grad(x) @ self.matrix.T
+    def __post_init__(self):
+        if self.potential.dimension != 2:
+            raise DimensionError(f"a rotational drift needs a potential in 2 "
+                                 f"dimensions, got {self.potential.dimension}")
 
-    def eval(self, x) -> np.ndarray:
-        return self.delta * self.base_eval(x)
+    def base_eval(self, x) -> np.ndarray:
+        """Unit-strength field C0 = J2 grad U."""
+        return self.potential.grad(x) @ J2.T
 
 
 @dataclass(frozen=True)
@@ -71,19 +59,11 @@ class ConstantDrift:
         pts = np.asarray(x, dtype=float)
         return np.broadcast_to(self.vector, pts.shape).copy()
 
-    def eval(self, x) -> np.ndarray:
-        return self.delta * self.base_eval(x)
 
-
-def make_rotational_drift(S, potential: PotentialField, delta: float) -> RotationalDrift:
-    """Build delta * S grad U, validating antisymmetry and dimensions."""
-    S = antisymmetric_matrix(S)
-    if S.shape[0] != potential.dimension:
-        raise DimensionError(
-            f"matrix is {S.shape[0]}x{S.shape[0]} but potential has "
-            f"dimension {potential.dimension}"
-        )
-    return RotationalDrift(matrix=S, potential=potential, delta=float(delta))
+def make_rotational_drift(potential: PotentialField, delta: float) -> RotationalDrift:
+    """Build delta * J2 grad U; a potential not in 2 dimensions is a
+    DimensionError."""
+    return RotationalDrift(potential=potential, delta=float(delta))
 
 
 def make_constant_drift(vector, delta: float = 1.0) -> ConstantDrift:
@@ -92,13 +72,12 @@ def make_constant_drift(vector, delta: float = 1.0) -> ConstantDrift:
 
 
 def unit_parts(drift, potential: PotentialField):
-    """The unit-strength affine parts (S^T, c0) of a drift of ``potential``:
-    (S^T, None) for a ``RotationalDrift`` built on a potential with the same
+    """The unit-strength affine parts (J2^T, c0) of a drift of ``potential``:
+    (J2^T, None) for a ``RotationalDrift`` built on a potential with the same
     name and params (a rotational field of another U does not preserve the
     Gibbs law), (None, c0) for a ``ConstantDrift`` and (None, None) for None.
-    A shape that does not match the potential is a DimensionError, any other
-    drift a ParameterError."""
-    d = potential.dimension
+    A constant vector that does not match the potential's dimension is a
+    DimensionError, any other drift a ParameterError."""
     if isinstance(drift, RotationalDrift):
         if (drift.potential.name, drift.potential.params) != (potential.name,
                                                               potential.params):
@@ -106,11 +85,9 @@ def unit_parts(drift, potential: PotentialField):
                 f"rotational drift of potential {drift.potential.name!r} "
                 f"{drift.potential.params} does not preserve the Gibbs law of "
                 f"potential {potential.name!r} {potential.params}")
-        if drift.matrix.shape != (d, d):
-            raise DimensionError(f"drift matrix is {drift.matrix.shape}, potential "
-                                 f"has dimension {d}")
-        return drift.matrix.T, None
+        return J2.T, None
     if isinstance(drift, ConstantDrift):
+        d = potential.dimension
         if drift.vector.shape != (d,):
             raise DimensionError(f"drift vector has shape {drift.vector.shape}, "
                                  f"potential has dimension {d}")
@@ -126,7 +103,7 @@ def check_invariance(drift, potential: PotentialField, points) -> float:
     ``drift`` over ``points``, exactly.
 
     Both drift kinds are divergence free, so the defect is max |2 C0 . grad U|:
-    0 for a rotational drift of U (S is antisymmetric) or no drift, and
+    0 for a rotational drift of U (J2 is antisymmetric) or no drift, and
     2 max |c0 . grad U| for a constant one, from one gradient evaluation."""
     vector = unit_parts(drift, potential)[1]
     if vector is None:

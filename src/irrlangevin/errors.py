@@ -9,11 +9,6 @@ class DimensionError(ParameterError):
     """Point / field / matrix dimensions do not match."""
 
 
-class ConstructionError(ParameterError):
-    """Invalid ingredients for building a drift field (e.g. a matrix that
-    is not antisymmetric)."""
-
-
 class DomainError(ParameterError):
     """A requested level lies outside the admissible open range."""
 

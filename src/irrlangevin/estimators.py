@@ -31,9 +31,6 @@ class ObservableSpec:
     name: str
     fn: Callable[[Array], Array]
 
-    def eval(self, states) -> Array:
-        return self.fn(np.asarray(states, dtype=float))
-
 
 OBSERVABLES: dict[str, ObservableSpec] = {
     spec.name: spec
@@ -75,11 +72,6 @@ def _window(values: Array, dt: float, burn_in: float) -> Array:
     return values[start : len(values) - 1]
 
 
-def ergodic_average(values, dt: float, burn_in: float = 0.0) -> float:
-    """Left-Riemann approximation of the time average over [burn_in, t]."""
-    return float(np.mean(_window(values, dt, burn_in)))
-
-
 @dataclass(frozen=True)
 class BatchMeansReport:
     """Batch-means point estimate with its Student-t confidence interval."""
@@ -89,9 +81,6 @@ class BatchMeansReport:
     s2m: float
     ci_lower: float
     ci_upper: float
-
-    def covers(self, value: float) -> bool:
-        return self.ci_lower <= value <= self.ci_upper
 
 
 def _batches(w: Array, m: int) -> Array:

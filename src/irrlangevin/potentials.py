@@ -73,10 +73,6 @@ class PotentialField:
         """Analytic gradient of U at x."""
         return self.grad_fn(self._as_points(x))
 
-    @property
-    def is_torus(self) -> bool:
-        return self.period is not None
-
 
 def _quadratic(dim: int = 2) -> PotentialField:
     dim = _dimension(dim)

@@ -140,11 +140,6 @@ class GridDensity:
         return cls(v / v.mean())
 
     @classmethod
-    def from_function(cls, fn, size: int, dims: int = 1) -> "GridDensity":
-        pts = grid_points(size, dims)
-        return cls.from_values(fn(pts))
-
-    @classmethod
     def from_potential(cls, potential: PotentialField, diffusion: float,
                        size: int, shift=None) -> "GridDensity":
         """Gibbs density exp(-U((x) - shift)/D), normalized on the grid."""
@@ -204,7 +199,7 @@ def grid_points(size: int, dims: int) -> np.ndarray:
 
 
 def field_on_grid(vector_field, p: GridDensity) -> np.ndarray:
-    """Sample a vector field (a callable such as ``drift.eval`` or
+    """Sample a vector field (a callable such as ``drift.base_eval`` or
     ``potential.grad``) on the grid of ``p``, returning shape (d, *grid)."""
     return np.moveaxis(np.asarray(vector_field(p.points()), dtype=float), -1, 0)
 
@@ -387,17 +382,10 @@ def _gauge_energy(p: GridDensity, b: np.ndarray, diffusion: float):
     return gauge, grad, _energy(p, grad, diffusion)
 
 
-def rate_reversible(p: GridDensity, potential: PotentialField,
-                    diffusion: float) -> float:
-    """Explicit reversible rate (1/(4D)) int |D grad p/p + grad U|^2 dmu."""
-    _check_diffusion(diffusion)
-    gu = field_on_grid(potential.grad, p)
-    return _energy(p, diffusion * spectral_gradient(p.values) / p.values + gu, diffusion)
-
-
 def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
                       diffusion: float, compute_quadratic: bool = False) -> RateReport:
-    """Rate with irreversible drift C: I_C = I_0 + J_C.
+    """Rate with irreversible drift C: I_C = I_0 + J_C, with the explicit
+    reversible rate I_0 = (1/(4D)) int |D grad p/p + grad U|^2 dmu.
 
     Solves the gauge equation for b = -grad U + C, takes J_C from the
     square-form increment (1/(4D)) int |grad psi_C - grad U|^2 dmu, and
@@ -408,7 +396,7 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
     """
     _check_diffusion(diffusion)
     if drift is None:
-        raise ParameterError("rate_irreversible needs a drift; rate_reversible is C = 0")
+        raise ParameterError("rate_irreversible needs a drift; I_0 is its i0 at delta 0")
     defect = check_invariance(drift, potential, p.points())
     c0 = field_on_grid(drift.base_eval, p)
     if defect > 1e-6 * (1.0 + float(np.max(np.abs(c0)))):
@@ -449,53 +437,3 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
         quadratic_residual=None if quad is None else quad.residual_rel,
         quadratic_iterations=None if quad is None else quad.iterations,
     )
-
-
-def quadratic_coefficient(p: GridDensity, drift, diffusion: float = 0.5) -> float:
-    """Coefficient K of the delta^2 law: solves div[p (C0 + grad xi)] = 0 for
-    the unit-strength drift C0 and returns (1/(4D)) int |grad xi|^2 dmu.
-
-    The gauge equation does not involve the potential, so K depends only on
-    the density and the drift recipe."""
-    _check_diffusion(diffusion)
-    return _gauge_energy(p, field_on_grid(drift.base_eval, p), diffusion)[2]
-
-
-def circle_rate_closed_form(p: GridDensity, delta: float) -> float:
-    """Closed form for the constant-drift circle at D = 1/2 (no PDE solve):
-
-        I = (1/8) int |p'/p|^2 p dx + delta^2 (1/2) [1 - 1 / int (1/p) dx]
-
-    with integrals over the normalized circle measure."""
-    if p.dims != 1:
-        raise DimensionError("closed form is for densities on the circle")
-    gp = spectral_gradient(p.values)[0]
-    fisher = float(np.mean(gp**2 / p.values)) / 8.0
-    harmonic = float(np.mean(1.0 / p.values))
-    return fisher + 0.5 * delta**2 * (1.0 - 1.0 / harmonic)
-
-
-def random_smooth_density(size: int, dims: int = 1, max_mode: int = 4,
-                          seed: int = 0, amplitude: float = 1.0) -> GridDensity:
-    """Strictly positive smooth test density: exp of a band-limited random
-    Fourier series (modes <= max_mode, coefficients uniform in (-1, 1)),
-    normalized on the grid."""
-    rng = np.random.default_rng(seed)
-    pts = grid_points(size, dims)
-    g = np.zeros(pts.shape[:-1])
-    if dims == 1:
-        x = pts[..., 0]
-        for n in range(1, max_mode + 1):
-            a, bb = rng.uniform(-1, 1, size=2) * amplitude / n
-            g += a * np.cos(n * x) + bb * np.sin(n * x)
-    else:
-        x, y = pts[..., 0], pts[..., 1]
-        for nx in range(0, max_mode + 1):
-            for ny in range(-max_mode, max_mode + 1):
-                if nx == 0 and ny <= 0:
-                    continue
-                norm = max(1.0, math.hypot(nx, ny))
-                a, bb = rng.uniform(-1, 1, size=2) * amplitude / norm**2
-                phase = nx * x + ny * y
-                g += a * np.cos(phase) + bb * np.sin(phase)
-    return GridDensity.from_values(np.exp(g - g.max()))

@@ -34,8 +34,6 @@ class NormalStream:
     """Sequential standard-normal source for one (seed, stream_id) key."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
         key = np.array([_as_u64(seed), _as_u64(stream_id)], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
 

@@ -14,7 +14,7 @@ the lockstep chunk loop and the replay that locates a blow-up.
 Every supported drift enters the update in one affine form,
 C(Z) - grad U(Z) = grad U(Z) M + c (``_affine_drift``): no drift (M = -I),
 a ``ConstantDrift`` (M = -I, c = delta c0) and a ``RotationalDrift`` of the
-sampled potential (M = delta S^T - I).  Any other drift is rejected before a
+sampled potential (M = delta J2^T - I).  Any other drift is rejected before a
 normal is drawn.  Each substep is then one gradient call, one product with
 M h and two in-place additions.
 """
@@ -56,13 +56,13 @@ def _affine_drift(potential: PotentialField, drifts: Sequence):
     """The affine form C(Z) - grad U(Z) = grad U(Z) M + c of the cells' drifts.
 
     ``M`` is the scalar -1 (standing for -I) when no cell rotates, one (d, d)
-    matrix delta S^T - I when every cell has the same one, and an (n, d, d)
+    matrix delta J2^T - I when every cell has the same one, and an (n, d, d)
     stack otherwise; ``c`` is None, or the (n, d) rows delta * c0 of the
-    constant drifts.  ``drift.unit_parts`` gives each cell's S^T and c0 and
+    constant drifts.  ``drift.unit_parts`` gives each cell's J2^T and c0 and
     rejects any drift outside the family; its errors name the cell.
     """
     n, d = len(drifts), potential.dimension
-    rotations = {}  # cell -> delta S^T, so M = -I costs no (d, d) array
+    rotations = {}  # cell -> delta J2^T, so M = -I costs no (d, d) array
     cs = np.zeros((n, d))
     for i, dr in enumerate(drifts):
         try:

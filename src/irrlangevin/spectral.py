@@ -32,9 +32,8 @@ from .errors import DimensionError, DomainError, ParameterError, SolverError
 TWO_PI = 2.0 * math.pi
 #: Most nodes of a dense generator; its matrix takes 128 MiB at the bound.
 MAX_DENSE_NODES = 64**2
-#: The tilt solve's initial bracket for beta, its tolerance on
-#: lambda'(beta) - ell (relative to max(1, |ell|)) and its step budget.
-TILT_BRACKET = (-50.0, 50.0)
+#: The tilt solve's tolerance on lambda'(beta) - ell (relative to
+#: max(1, |ell|)) and its step budget.
 TILT_TOL = 1e-8
 TILT_MAX_ITER = 80
 
@@ -65,10 +64,6 @@ class FourierObservable:
     def cosine(cls) -> "FourierObservable":
         """f(x) = cos x, i.e. c_{+-1} = 1/2."""
         return cls(np.array([0.5, 0.0, 0.5], dtype=complex))
-
-    @property
-    def mean(self) -> float:
-        return float(self.coefficients[self.n_max].real)
 
     def samples(self, n: int) -> np.ndarray:
         x = TWO_PI * np.arange(n) / n
@@ -127,26 +122,6 @@ def periodic_generator(drift_samples, diffusion: float) -> np.ndarray:
         matrix[row, np.roll(idx, -1, axis=axis).ravel()] = off + field
         matrix[row, np.roll(idx, 1, axis=axis).ravel()] = off - field
     return matrix
-
-
-def generator_spectrum(n: int, delta: float, diffusion: float) -> np.ndarray:
-    """Eigenvalues of the discretized circle generator, sorted by real part
-    (descending).  The advection part only shifts imaginary parts: real
-    parts are identical across delta."""
-    eig = np.linalg.eigvals(periodic_generator(np.full((1, n), float(delta)), diffusion))
-    order = np.lexsort((eig.imag, -eig.real))
-    return eig[order]
-
-
-def discrete_mode_eigenvalue(n: int, mode: int, delta: float,
-                             diffusion: float) -> complex:
-    """Exact eigenvalue of the discretization at the given Fourier mode:
-    -(2D/h^2)(1 - cos(mode h)) + i (delta/h) sin(mode h)."""
-    h = TWO_PI / n
-    return complex(
-        -(2.0 * diffusion / h**2) * (1.0 - math.cos(mode * h)),
-        (delta / h) * math.sin(mode * h),
-    )
 
 
 def _observable(f_samples) -> np.ndarray:
@@ -231,38 +206,39 @@ class ScaledCgf:
 
 def _solve_tilt(scgf: ScaledCgf, ell: float) -> tuple[float, float]:
     """Find beta with lambda'(beta) = ell and return (beta, lambda(beta));
-    Newton with bisection fallback.
+    Newton, with the bracket [lo, hi] of the tilts seen on either side of
+    the root as the fallback.
 
     lambda is smooth and strictly convex, so lambda' is increasing and the
-    root is unique whenever ell lies in the closure of lambda'(R)."""
-    lo, hi = TILT_BRACKET
+    root is unique whenever ell lies in the closure of lambda'(R).  The
+    bracket starts unbounded.  A Newton step that would leave it (or a
+    curvature that is not positive) is replaced by doubling beta outward
+    while the far side is unbounded, and by bisection once both sides are
+    finite.  A level in (min f, max f) is reached as |beta| -> inf, so the
+    limit is the Perron solve: past some |beta| its eigenvector underflows,
+    and that ``SolverError`` names the level."""
+    lo, hi = -math.inf, math.inf
     beta = 0.0
-    glo = ghi = None
     for _ in range(TILT_MAX_ITER):
-        lam, slope, curv = scgf.jet(beta)
+        try:
+            lam, slope, curv = scgf.jet(beta)
+        except SolverError as exc:
+            raise SolverError(f"level {ell}: {exc}") from exc
         g = slope - ell
         if abs(g) <= TILT_TOL * max(1.0, abs(ell)):
             return beta, lam
         if g < 0:
-            lo, glo = max(lo, beta), g
+            lo = beta
         else:
-            hi, ghi = min(hi, beta), g
+            hi = beta
         candidate = beta - g / curv if curv > 0 else math.nan
         if not (lo < candidate < hi):
-            # bisect; make sure the bracket actually straddles the root.  A
-            # level in (min f, max f) is reached as |beta| -> inf, so a root
-            # outside the bracket is a solver limit, not a bad level.
-            if glo is None:
-                if scgf.jet(lo)[1] - ell >= 0:
-                    raise SolverError(f"level {ell} needs beta below the tilt "
-                                      f"bracket {TILT_BRACKET}")
-                glo = -1.0
-            if ghi is None:
-                if scgf.jet(hi)[1] - ell <= 0:
-                    raise SolverError(f"level {ell} needs beta above the tilt "
-                                      f"bracket {TILT_BRACKET}")
-                ghi = 1.0
-            candidate = 0.5 * (lo + hi)
+            if math.isinf(hi):
+                candidate = max(2.0 * beta, 1.0)
+            elif math.isinf(lo):
+                candidate = min(2.0 * beta, -1.0)
+            else:
+                candidate = 0.5 * (lo + hi)
         beta = candidate
     raise SolverError(f"tilt solve for level {ell} did not converge")
 
@@ -273,7 +249,6 @@ class ObservableRateCurve:
 
     ells: np.ndarray
     rates: np.ndarray
-    betas: np.ndarray
 
 
 def check_levels(f_samples, ell_grid) -> np.ndarray:
@@ -302,11 +277,9 @@ def observable_rate(f_samples, drift, diffusion: float,
     >= -1e-8)."""
     ells = check_levels(f_samples, ell_grid)
     scgf = ScaledCgf(f_samples, drift, diffusion)
-    betas = np.empty(len(ells))
     rates = np.empty(len(ells))
     for i, ell in enumerate(ells):
         beta, lam = _solve_tilt(scgf, float(ell))
-        betas[i] = beta
         rates[i] = beta * ell - lam
     order = np.argsort(ells)
     e, r = ells[order], rates[order]
@@ -315,7 +288,7 @@ def observable_rate(f_samples, drift, diffusion: float,
         right = (r[i + 1] - r[i]) / (e[i + 1] - e[i])
         if right - left < -1e-8:
             raise SolverError("rate curve failed the convexity check")
-    return ObservableRateCurve(ells, rates, betas)
+    return ObservableRateCurve(ells, rates)
 
 
 def rate_curvature(f_samples, drift, diffusion: float) -> tuple[float, float]:

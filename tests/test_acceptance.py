@@ -13,29 +13,24 @@ import numpy as np
 import pytest
 
 from irrlangevin.cli import main, reproduce_table
-from irrlangevin.drift import J2, make_constant_drift, make_rotational_drift
+from irrlangevin.drift import make_constant_drift, make_rotational_drift
 from irrlangevin.estimators import (
     asymptotic_variance_estimate,
     batch_count_schedule,
     batch_means,
 )
 from irrlangevin.potentials import get_potential
-from irrlangevin.ratefn import (
-    GridDensity,
-    circle_rate_closed_form,
-    grid_points,
-    quadratic_coefficient,
-    rate_irreversible,
-)
+from irrlangevin.ratefn import GridDensity, grid_points, rate_irreversible
 from irrlangevin.rng import NormalStream
 from irrlangevin.sampler import simulate_cells, stable_substeps
 from irrlangevin.spectral import (
     FourierObservable,
     fourier_sigma2,
-    generator_spectrum,
     observable_rate,
     rate_curvature,
 )
+
+from oracles import circle_rate_closed_form, generator_spectrum
 
 TORUS = get_potential("torus-cosine", a=0.5, b=0.5)
 CIRCLE_U0 = get_potential("torus-zero", dim=1)
@@ -70,10 +65,11 @@ def test_criterion_1_circle_closed_form():
 def test_criterion_2_quadratic_law():
     start = time.perf_counter()
     p = GridDensity.from_potential(TORUS, 0.5, 128, shift=(1.0, 0.0))
-    k = quadratic_coefficient(p, make_rotational_drift(J2, TORUS, 1.0), 0.5)
+    k = rate_irreversible(p, TORUS, make_rotational_drift(TORUS, 1.0), 0.5,
+                          compute_quadratic=True).k
     ratios = []
     for delta in (0.5, 1.0, 2.0, 4.0):
-        rep = rate_irreversible(p, TORUS, make_rotational_drift(J2, TORUS, delta), 0.5)
+        rep = rate_irreversible(p, TORUS, make_rotational_drift(TORUS, delta), 0.5)
         ratios.append(rep.j_c / delta**2)
     spread = (max(ratios) - min(ratios)) / k
     elapsed = time.perf_counter() - start
@@ -87,7 +83,7 @@ def test_criterion_2_quadratic_law():
 
 def test_criterion_3_degeneracy_iff():
     start = time.perf_counter()
-    drift = make_rotational_drift(J2, TORUS, 1.0)
+    drift = make_rotational_drift(TORUS, 1.0)
     degenerate = GridDensity.from_potential(TORUS, 0.25, 128)  # p = exp(-4U)
     j_degenerate = rate_irreversible(degenerate, TORUS, drift, 0.5).j_c
     shifted = GridDensity.from_potential(TORUS, 0.5, 128, shift=(1.0, 0.0))
@@ -105,7 +101,7 @@ def test_criterion_4_invariant_measure_zero_rate():
     p = GridDensity.from_potential(TORUS, 0.5, 128)  # e^{-2U} at D = 1/2
     values = {}
     for delta in (0.0, 1.0, 10.0):
-        drift = make_rotational_drift(J2, TORUS, delta)
+        drift = make_rotational_drift(TORUS, delta)
         values[delta] = rate_irreversible(p, TORUS, drift, 0.5).i_c
     elapsed = time.perf_counter() - start
     report(4, "I_C(gibbs) = " + ", ".join(
@@ -197,10 +193,10 @@ def test_criterion_8_table_ratio_reproduction(table_runs):
     comparison1, rows1 = table_runs[1]
     comparison2, _ = table_runs[2]
     comparison3, _ = table_runs[3]
-    r10 = comparison1.ratio(10.0, 295.0)
-    r100 = comparison1.ratio(100.0, 295.0)
-    r2 = comparison2.ratio(10.0, 700.0)
-    r3 = comparison3.ratio(10.0, 700.0)
+    r10 = comparison1.cells[(10.0, 295.0)].measured_ratio
+    r100 = comparison1.cells[(100.0, 295.0)].measured_ratio
+    r2 = comparison2.cells[(10.0, 700.0)].measured_ratio
+    r3 = comparison3.cells[(10.0, 700.0)].measured_ratio
 
     # figure analogues: tighter confidence bands as delta grows (t = 295)
     widths = {}
@@ -250,7 +246,7 @@ def test_criterion_9_ci_coverage():
     coverage, means = {}, {}
     for i, (delta, target) in enumerate(((0.0, 0.2), (10.0, chain_sumsq))):
         assert stable_substeps(delta, dt) == 1
-        drift = make_rotational_drift(J2, quad, delta) if delta else None
+        drift = make_rotational_drift(quad, delta) if delta else None
         series = simulate_cells(
             quad, [drift] * replications, 0.1, dt, n_steps,
             [(0.0, 0.0)] * replications,
@@ -258,7 +254,7 @@ def test_criterion_9_ci_coverage():
             observable=lambda z: np.sum(z**2, axis=-1),
         )
         reports = [batch_means(s, m, 0.05, dt, burn_in) for s in series]
-        coverage[delta] = sum(r.covers(target) for r in reports)
+        coverage[delta] = sum(r.ci_lower <= target <= r.ci_upper for r in reports)
         estimates = np.array([r.estimate for r in reports])
         means[delta] = (estimates.mean(), estimates.std(ddof=1) / np.sqrt(replications),
                         target)

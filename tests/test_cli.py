@@ -281,10 +281,28 @@ def test_spectral_cli(tmp_path):
 
 
 def test_spectral_level_past_the_tilt_bracket_exits_3(tmp_path, capsys):
-    # the level passes check_levels; only the solver's beta bracket is short
+    # the level passes check_levels; its tilt is past what the Perron solve reaches
     cfg = write_config(tmp_path, spectral_config(deltas=[0.0], grid=64, ell_grid=[0.9999]))
     assert main(["spectral", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "tilt bracket" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("numeric failure: level 0.9999: ")
+
+
+@pytest.mark.parametrize("case", ["simulate_to_a_full_device", "spectral_csv_is_a_directory"])
+def test_output_write_failure_exits_2_without_a_traceback(case, tmp_path, capsys):
+    out = tmp_path / "o"
+    if case == "simulate_to_a_full_device":
+        if not Path("/dev/full").exists():
+            pytest.skip("needs the /dev/full device")
+        cfg = write_config(tmp_path, ou_config(horizon=1.0, burn_in=0.1, seeds=[3]))
+        argv, target = ["simulate", "--save-path", "/dev/full"], "/dev/full"
+    else:
+        (out / "sigma2.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, spectral_config(deltas=[1.0], grid=16, ell_grid=[]))
+        argv, target = ["spectral"], str(out / "sigma2.csv")
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}: ")
+    assert "Traceback" not in err
 
 
 def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):

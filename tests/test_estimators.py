@@ -10,7 +10,6 @@ from irrlangevin.estimators import (
     asymptotic_variance_estimate,
     batch_count_schedule,
     batch_means,
-    ergodic_average,
     get_observable,
     t_quantile,
 )
@@ -35,21 +34,21 @@ def circle_cos_series(delta, diffusion=1.0, horizon=2000.0, dt=0.01,
 
 def test_ergodic_average_constant_series():
     values = np.full(1000, 2.0)
-    assert ergodic_average(values, dt=0.1, burn_in=3.0) == 2.0
+    assert batch_means(values, 10, 0.05, dt=0.1, burn_in=3.0).estimate == 2.0
 
 
 def test_ergodic_average_left_riemann_two_steps():
     # two stored integration steps with f values 1 and 3; the final state is
     # the right endpoint and does not enter the left Riemann sum
     values = np.array([1.0, 3.0, 99.0])
-    assert ergodic_average(values, dt=0.5, burn_in=0.0) == 2.0
+    assert batch_means(values, 2, 0.05, dt=0.5, burn_in=0.0).estimate == 2.0
 
 
 def test_ergodic_average_rejects_bad_burn_in():
-    with pytest.raises(ParameterError):
-        ergodic_average(np.ones(100), dt=0.01, burn_in=0.99)
-    with pytest.raises(ParameterError):
-        ergodic_average(np.ones(100), dt=0.01, burn_in=-0.1)
+    with pytest.raises(ParameterError, match="burn-in"):
+        batch_means(np.ones(100), 2, 0.05, dt=0.01, burn_in=0.99)
+    with pytest.raises(ParameterError, match="burn-in"):
+        batch_means(np.ones(100), 2, 0.05, dt=0.01, burn_in=-0.1)
 
 
 def test_batch_means_hand_values():
@@ -192,8 +191,8 @@ def test_circle_variance_monotone_in_delta():
 
 def test_observable_catalog():
     sumsq = get_observable("sumsq")
-    assert sumsq.eval([[1.0, 1.0]]) == pytest.approx([2.0])
+    assert sumsq.fn(np.array([[1.0, 1.0]])) == pytest.approx([2.0])
     cos = get_observable("cos")
-    assert cos.eval([[0.0]]) == pytest.approx([1.0])
+    assert cos.fn(np.array([[0.0]])) == pytest.approx([1.0])
     with pytest.raises(ParameterError):
         get_observable("nope")

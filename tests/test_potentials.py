@@ -20,7 +20,7 @@ def finite_difference_gradient(field, x, h=1e-5):
 
 def sample_points(field, n, seed=0):
     rng = np.random.default_rng(seed)
-    if field.is_torus:
+    if field.period is not None:
         return rng.uniform(0.0, 2 * np.pi, size=(n, field.dimension))
     return rng.uniform(-2.0, 2.0, size=(n, field.dimension))
 

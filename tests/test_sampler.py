@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from irrlangevin.cli import ExperimentConfig
-from irrlangevin.drift import J2, make_constant_drift, make_rotational_drift
+from irrlangevin.drift import make_constant_drift, make_rotational_drift
 from irrlangevin.errors import (
     ConfigError, DimensionError, ParameterError, PropagationError,
 )
-from irrlangevin.estimators import OBSERVABLES, ergodic_average
+from irrlangevin.estimators import OBSERVABLES, batch_means
 from irrlangevin.potentials import get_potential
 from irrlangevin.rng import NORMAL_ALGORITHM, NormalStream
 from irrlangevin.sampler import (
@@ -57,7 +57,7 @@ def test_em_step_deterministic_euler():
 
 
 def test_em_step_with_rotation():
-    drift = make_rotational_drift(J2, QUAD, 1.0)
+    drift = make_rotational_drift(QUAD, 1.0)
     out = em_step([1.0, 0.0], QUAD, drift, 0.0, 0.5, [0.0, 0.0])
     np.testing.assert_allclose(out, [0.5, -0.5])
 
@@ -174,7 +174,7 @@ def test_blowup_step_index_is_first_non_finite_recorded_step(dt, substeps, step_
 def test_em_step_is_the_loop_update(delta):
     # one recorded step consumes the stream's first d normals, coordinate-minor
     bimodal = get_potential("bimodal1")
-    drift = None if delta is None else make_rotational_drift(J2, bimodal, delta)
+    drift = None if delta is None else make_rotational_drift(bimodal, delta)
     x0 = np.array([0.3, -0.8])
     one = em_step(x0, bimodal, drift, 0.1, 1e-2, NormalStream(5, 9).normals(2))
     cells = simulate_cells(bimodal, [drift], 0.1, 1e-2, 1, [x0], [NormalStream(5, 9)])
@@ -186,7 +186,7 @@ def _bimodal_drift(kind, delta, potential=None):
     if kind == "constant":
         return make_constant_drift([1.0, -0.5], delta)
     if kind == "rotational":
-        return make_rotational_drift(J2, bimodal, delta)
+        return make_rotational_drift(bimodal, delta)
     return None
 
 
@@ -200,7 +200,7 @@ def test_em_step_is_the_literal_euler_maruyama_update(kind, delta):
     rng = np.random.default_rng(7)
     for z in rng.uniform(0.2, 1.5, size=(5, 2)) * [1.0, -1.0]:
         w = rng.standard_normal(2)
-        c = 0.0 if drift is None else drift.eval(z)
+        c = 0.0 if drift is None else drift.delta * drift.base_eval(z)
         literal = z + (c - bimodal.grad(z)) * dt + math.sqrt(2 * diffusion * dt) * w
         np.testing.assert_allclose(em_step(z, bimodal, drift, diffusion, dt, w), literal,
                                    rtol=1e-14, atol=0)
@@ -247,9 +247,9 @@ class _EvalOnly:
 
 @pytest.mark.parametrize("entry", ["simulate_cells", "em_step"])
 @pytest.mark.parametrize("drift", [
-    pytest.param(make_rotational_drift(J2, get_potential("bimodal2"), 1.0),
+    pytest.param(make_rotational_drift(get_potential("bimodal2"), 1.0),
                  id="rotational_of_another_potential"),
-    pytest.param(make_rotational_drift(J2, get_potential("quadratic", dim=2), 1.0),
+    pytest.param(make_rotational_drift(get_potential("quadratic", dim=2), 1.0),
                  id="rotational_of_quadratic"),
     pytest.param(_EvalOnly(), id="object_with_eval"),
     pytest.param(make_constant_drift([1.0, 0.0, 0.0], 1.0), id="constant_of_wrong_dim"),
@@ -321,7 +321,7 @@ def test_invalid_configs_rejected():
 
 
 def test_trajectory_file_roundtrip(tmp_path):
-    states = run(drift=make_rotational_drift(J2, QUAD, 2.0), diffusion=0.2, n_steps=200)
+    states = run(drift=make_rotational_drift(QUAD, 2.0), diffusion=0.2, n_steps=200)
     config = {"potential": {"name": "quadratic", "params": {"dim": 2}},
               "drift": {"kind": "rotational", "delta": 2.0}, "initial": [1.0, 1.0]}
     path = tmp_path / "run.traj"
@@ -352,7 +352,7 @@ def substep_radius(delta, dt):
     linear there, Z <- Z A with A = (1 - h) I + h delta J2^T, so one noiseless
     recorded step from e1 and e2 gives the rows of A^n."""
     n = stable_substeps(delta, dt)
-    power = simulate_cells(QUAD, [make_rotational_drift(J2, QUAD, delta)] * 2, 0.0, dt,
+    power = simulate_cells(QUAD, [make_rotational_drift(QUAD, delta)] * 2, 0.0, dt,
                            1, np.eye(2), [NormalStream(0, i) for i in (0, 1)],
                            substeps=n)[:, 1]
     return np.max(np.abs(np.linalg.eigvals(power))) ** (1.0 / n), dt / n
@@ -379,15 +379,19 @@ def test_stable_substeps_stationary_bias_at_dt_1e3(delta, bias):
     assert round(relative, 4) == bias
 
 
+def time_average(series, dt, burn_in):
+    """The time average of ``series`` over [burn_in, t], as batch means form it."""
+    return batch_means(series, 2, 0.05, dt, burn_in).estimate
+
+
 def test_ou_moment_short_horizon():
     # E[x^2 + y^2] = 2D for the stationary quadratic diffusion
     sumsq = run(diffusion=0.1, n_steps=300000, seed=12, initial=(0.0, 0.0),
                 observable=OBSERVABLES["sumsq"].fn)
-    avg = ergodic_average(sumsq, 1e-3, burn_in=5.0)
+    avg = time_average(sumsq, 1e-3, burn_in=5.0)
     assert avg == pytest.approx(0.2, rel=0.15)
 
 
-@pytest.mark.slow
 def test_invariant_mean_unchanged_by_drift():
     # the ergodic average of x^2 + y^2 must not depend on delta
     sumsq = OBSERVABLES["sumsq"].fn
@@ -395,12 +399,12 @@ def test_invariant_mean_unchanged_by_drift():
     n_steps = int(round(horizon / dt))
     averages = {}
     for delta in (0.0, 10.0):
-        drift = make_rotational_drift(J2, QUAD, delta) if delta else None
+        drift = make_rotational_drift(QUAD, delta) if delta else None
         series = simulate_cells(
             QUAD, [drift], 0.1, dt, n_steps, [(1.0, 1.0)],
             [NormalStream(21, int(delta))], observable=sumsq,
             substeps=stable_substeps(delta, dt),
         )
-        averages[delta] = ergodic_average(series[0], dt, burn_in=5.0)
+        averages[delta] = time_average(series[0], dt, burn_in=5.0)
     for delta, avg in averages.items():
         assert avg == pytest.approx(0.2, rel=0.10), f"delta={delta}"

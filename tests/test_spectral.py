@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,17 +8,19 @@ from scipy.optimize import linear_sum_assignment
 from irrlangevin import spectral
 from irrlangevin.errors import DimensionError, DomainError, ParameterError, SolverError
 from irrlangevin.spectral import (
+    TILT_TOL,
     FourierObservable,
     ScaledCgf,
     _perron,
+    _solve_tilt,
     check_levels,
-    discrete_mode_eigenvalue,
     fourier_sigma2,
-    generator_spectrum,
     observable_rate,
     periodic_generator,
     rate_curvature,
 )
+
+from oracles import discrete_mode_eigenvalue, generator_spectrum
 
 COS = FourierObservable.cosine()
 
@@ -48,7 +51,7 @@ def forbid_eigensolves(monkeypatch):
 
 
 def test_cosine_coefficients():
-    assert COS.mean == 0.0
+    assert COS.coefficients[COS.n_max] == 0.0  # c_0, the mean
     x = np.linspace(0, 2 * np.pi, 17)[:-1]
     np.testing.assert_allclose(COS.samples(16), np.cos(x), atol=1e-12)
 
@@ -356,7 +359,6 @@ def test_rate_zero_at_mean(monkeypatch):
     forbid_eigensolves(monkeypatch)
     curve = observable_rate(cos_samples(), 0.0, 1.0, [0.0])
     assert curve.rates[0] == pytest.approx(0.0, abs=1e-9)
-    assert curve.betas[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_rate_increases_with_delta():
@@ -380,9 +382,37 @@ def test_rate_rejects_level_outside_range():
 
 @pytest.mark.parametrize("ell", [0.9999, -0.9999])
 def test_level_past_the_tilt_bracket_is_a_solver_limit(ell):
-    # inside (min f, max f), so reached as |beta| -> inf: not a bad level
-    with pytest.raises(SolverError, match="tilt bracket"):
+    # inside (min f, max f), so reached as |beta| -> inf: not a bad level, but
+    # the Perron solve fails first
+    with pytest.raises(SolverError, match=f"^level {ell}: .*Perron"):
         observable_rate(cos_samples(64), 0.0, 1.0, [ell])
+
+
+@pytest.mark.parametrize("ell", [0.96, -0.96])
+def test_level_whose_tilt_exceeds_50_solves(ell):
+    # lambda'(+-50) = +-0.95 on this grid, so the root lies past |beta| = 50
+    scgf = ScaledCgf(cos_samples(64), 0.0, 1.0)
+    beta, lam = _solve_tilt(scgf, ell)
+    assert abs(beta) > 50.0
+    value, slope, _ = scgf.jet(beta)
+    assert abs(slope - ell) <= TILT_TOL
+    assert lam == pytest.approx(value, rel=1e-12)
+    rate = observable_rate(cos_samples(64), 0.0, 1.0, [ell]).rates[0]
+    assert rate == pytest.approx(beta * ell - lam, rel=1e-12)
+
+
+class _FlatCurvatureCgf:
+    """lambda'(beta) = tanh(beta / 10) with a reported curvature of 0, so
+    every Newton step is refused."""
+
+    def jet(self, beta):
+        return 0.0, math.tanh(beta / 10.0), 0.0
+
+
+@pytest.mark.parametrize("ell", [0.9, -0.9])
+def test_tilt_solve_doubles_outward_then_bisects(ell):
+    beta, _ = _solve_tilt(_FlatCurvatureCgf(), ell)
+    assert beta == pytest.approx(10.0 * math.atanh(ell), abs=1e-6)
 
 
 def test_rate_rejects_repeated_levels():
