@@ -4,7 +4,7 @@ Subpackages:
 
 * ``potentials`` -- energy landscapes on R^d and flat tori
 * ``drift``      -- invariant-measure-preserving irreversible drifts
-* ``sampler``    -- Euler-Maruyama integration with reproducible streams
+* ``sampler``    -- split-step Euler-Maruyama integration with reproducible streams
 * ``estimators`` -- batch-means ergodic averages, asymptotic variance
 * ``ratefn``     -- empirical-measure rate functionals on periodic grids
 * ``spectral``   -- exact circle variances; principal eigenvalues and

@@ -278,8 +278,6 @@ class ExperimentConfig:
             _check(len(self.initial) == dims, f"initial state has dimension "
                    f"{len(self.initial)}, potential has dimension {dims}")
             for delta in self.deltas:
-                _check(self.substeps != "auto" or math.isfinite(delta * delta * self.dt),
-                       f"delta {delta} is too large for automatic substeps")
                 values = max((n_steps + 1) * max(cells, dims),
                              cells * max(self.substeps_at(delta), NOISE_CHUNK) * dims)
                 _check(values <= MAX_SAMPLER_VALUES, f"delta {delta} needs {values} "
@@ -302,9 +300,17 @@ class ExperimentConfig:
     def build_potential(self):
         return get_potential(self.potential, **self.potential_params)
 
+    @property
+    def rotation(self) -> str:
+        """How a rotational drift is integrated: ``"flow"``, the split step,
+        when the potential has a ``rotation_flow``, else ``"euler"``, inside
+        the Euler-Maruyama update.  It also picks the automatic substep rule."""
+        return "euler" if self.build_potential().rotation_flow is None else "flow"
+
     def substeps_at(self, delta: float) -> int:
-        return stable_substeps(delta, self.dt) if self.substeps == "auto" \
-            else self.substeps
+        if self.substeps != "auto":
+            return self.substeps
+        return stable_substeps(delta, self.dt, split=self.rotation == "flow")
 
     @property
     def n_steps(self) -> int:
@@ -317,10 +323,12 @@ class ExperimentConfig:
         return None if delta == 0.0 else build_drift(self.drift_kind, potential, delta)
 
     def substeps_by_delta(self) -> list[dict]:
-        """The integration substeps of each delta group, as ``substeps_at``
-        resolves them for the run; manifest.json records them."""
-        return [{"delta": delta, "substeps": self.substeps_at(delta)}
-                for delta in self.deltas]
+        """The integrator of each delta group, as manifest.json records it:
+        the substeps ``substeps_at`` resolves, the substep size h and the
+        ``rotation`` rule."""
+        rotation = self.rotation
+        return [{"delta": delta, "substeps": n, "h": self.dt / n, "rotation": rotation}
+                for delta, n in ((delta, self.substeps_at(delta)) for delta in self.deltas)]
 
     def to_dict(self) -> dict:
         """The config in document form, as echoed in manifest.json."""
@@ -420,21 +428,21 @@ def _delta_group_rows(config: ExperimentConfig,
     One row per (seed, checkpoint).  Cell (delta, seed) owns the RNG stream
     splitmix64(delta_index, seed_index), so results do not depend on how
     groups are scheduled across workers.  Also returns the group's
-    ``sampler_timing`` entry: the wall seconds of its ``simulate_cells`` call
-    and the cell-substeps per second.
+    ``sampler_timing`` entry: the wall and CPU seconds of its
+    ``simulate_cells`` call and the cell-substeps per second.
     """
     delta, cells = config.deltas[delta_index], len(config.seeds)
     potential = config.build_potential()
     n_steps, substeps = config.n_steps, config.substeps_at(delta)
     streams = [NormalStream(seed, splitmix64(delta_index, j))
                for j, seed in enumerate(config.seeds)]
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     series = simulate_cells(
         potential, [config.drift(potential, delta)] * cells, config.diffusion,
         config.dt, n_steps, [config.initial] * cells, streams,
         observable=get_observable(config.observable).fn, substeps=substeps)
     wall = time.perf_counter() - start
-    timing = {"delta": delta, "wall_s": wall,
+    timing = {"delta": delta, "wall_s": wall, "cpu_s": time.process_time() - cpu,
               "cell_substeps_per_s": cells * n_steps * substeps / wall}
     rows = []
     for j, seed in enumerate(config.seeds):
@@ -650,8 +658,7 @@ def cmd_simulate(args) -> int:
             "stream_id": 0, "substeps": substeps,
         }, path)
     write_manifest(out / "manifest.json", config.to_dict(),
-                   {"trajectory": str(path),
-                    "substeps": [{"delta": delta, "substeps": substeps}]})
+                   {"trajectory": str(path), "substeps": config.substeps_by_delta()})
     print(f"wrote {path} ({len(states)} states)")
     return 0
 

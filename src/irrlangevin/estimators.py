@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ParameterError
 
@@ -124,6 +123,8 @@ def t_quantile(alpha_half: float, dof: int) -> float:
         raise ParameterError("alpha_half must lie in (0, 1)")
     if dof < 1:
         raise ParameterError("degrees of freedom must be >= 1")
+    from scipy.special import stdtrit  # lazy: scipy.special costs ~0.2 s to import
+
     return -float(stdtrit(dof, alpha_half))
 
 

@@ -7,10 +7,18 @@ gradients with shape ``(..., d)``.
 
 Torus entries use period 2*pi per axis so that Fourier modes are plain
 integer wavenumbers.
+
+Entries in 2 dimensions whose rotational field J2 grad U has an explicit
+area-preserving flow carry it as ``rotation_flow``, which the sampler's split
+step uses: ``quadratic`` (an exact rotation), ``bimodal1`` and
+``torus-cosine`` (U is separable, so one Stormer-Verlet step is explicit) and
+``torus-zero`` (the identity).  ``bimodal2`` and ``threewell`` are not
+separable and carry none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,6 +40,44 @@ def _dimension(dim) -> int:
     return d
 
 
+def _separable_flow(du_dx, du_dy):
+    """The ``rotation_flow`` of a separable U(x, y) = V(x) + W(y), given
+    du_dx = V' and du_dy = W': one Stormer-Verlet step (kick, drift, kick) of
+    the Hamiltonian flow x' = W'(y), y' = -V'(x) of z' = J2 grad U(z).  Each
+    stage is a shear, so the step is explicit, area-preserving and reversible:
+    the step for time -a undoes the step for time a."""
+
+    def flow(z, a):
+        x, half = z[..., 0], 0.5 * a
+        y = z[..., 1] - half * du_dx(x)
+        out = np.empty(z.shape)
+        out[..., 0] = x + a * du_dy(y)
+        out[..., 1] = y - half * du_dx(out[..., 0])
+        return out
+
+    return flow
+
+
+@functools.lru_cache(maxsize=64)
+def _rotation_matrix(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    matrix = np.array([[c, -s], [s, c]])
+    matrix.flags.writeable = False  # shared by every caller through the cache
+    return matrix
+
+
+def _rotation(z, a):
+    """The exact flow of x' = y, y' = -x: a rotation by angle a.  A sampler
+    calls it once per substep with one a, so that matrix is cached."""
+    if np.ndim(a) == 0:
+        return z @ _rotation_matrix(float(a))
+    c, s = np.cos(a), np.sin(a)
+    out = np.empty(z.shape)
+    out[..., 0] = c * z[..., 0] + s * z[..., 1]
+    out[..., 1] = c * z[..., 1] - s * z[..., 0]
+    return out
+
+
 def _coefficient(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -45,8 +91,11 @@ class PotentialField:
 
     ``period`` is None on unbounded domains, otherwise the per-axis period
     vector of the torus.  ``params`` echoes the builder arguments so a
-    field is reconstructible from (name, params).  Instances are immutable
-    and safe for concurrent reads.
+    field is reconstructible from (name, params).  ``rotation_flow(z, a)``,
+    where the entry has one, maps points z to the solution at time a of
+    z' = J2 grad U(z), exactly or by one area-preserving step; a is a scalar
+    or one time per point.  Instances are immutable and safe for concurrent
+    reads.
     """
 
     name: str
@@ -55,6 +104,7 @@ class PotentialField:
     grad_fn: Callable[[np.ndarray], np.ndarray]
     period: tuple[float, ...] | None = None
     params: dict = field(default_factory=dict)
+    rotation_flow: Callable[[np.ndarray, object], np.ndarray] | None = None
 
     def _as_points(self, x) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -82,6 +132,7 @@ def _quadratic(dim: int = 2) -> PotentialField:
         value_fn=lambda z: 0.5 * np.sum(z**2, axis=-1),
         grad_fn=lambda z: z.copy(),
         params={"dim": dim},
+        rotation_flow=_rotation if dim == 2 else None,
     )
 
 
@@ -97,7 +148,8 @@ def _bimodal1() -> PotentialField:
         g[..., 0] = x**3 - x
         return g
 
-    return PotentialField("bimodal1", 2, value, grad)
+    return PotentialField("bimodal1", 2, value, grad, rotation_flow=_separable_flow(
+        lambda x: x * (x * x - 1.0), lambda y: y))
 
 
 def _bimodal2() -> PotentialField:
@@ -158,6 +210,7 @@ def _torus_cosine(a: float = 1.0, b: float = 1.0) -> PotentialField:
     return PotentialField(
         "torus-cosine", 2, value, grad,
         period=(TWO_PI, TWO_PI), params={"a": a, "b": b},
+        rotation_flow=_separable_flow(lambda x: -a * np.sin(x), lambda y: -b * np.sin(y)),
     )
 
 
@@ -182,6 +235,7 @@ def _torus_zero(dim: int = 1) -> PotentialField:
         grad_fn=np.zeros_like,
         period=(TWO_PI,) * dim,
         params={"dim": dim},
+        rotation_flow=lambda z, a: z,  # grad U = 0
     )
 
 

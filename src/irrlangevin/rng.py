@@ -17,7 +17,6 @@ parallel with no shared state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 #: Identifier recorded in trajectory metadata so golden files stay valid.
 NORMAL_ALGORITHM = "philox4x64/inverse-cdf-53bit"
@@ -39,6 +38,8 @@ class NormalStream:
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard normals of this stream."""
+        from scipy.special import ndtri  # lazy: scipy.special costs ~0.2 s to import
+
         raw = self._bitgen.random_raw(int(n))
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         return ndtri(u)

@@ -1,4 +1,4 @@
-"""Euler-Maruyama integration of dZ = [-grad U(Z) + C(Z)] dt + sqrt(2 D) dW.
+"""Split-step integration of dZ = [-grad U(Z) + C(Z)] dt + sqrt(2 D) dW.
 
 Trajectories are a pure function of their inputs and ``(seed, stream_id)``:
 each (seed, stream) pair owns one counter-based normal stream (see ``rng``),
@@ -11,12 +11,20 @@ strength, stream) cells of a shared potential in lockstep, and a single
 trajectory is its one-cell case.  One update rule, ``_em_path``, serves both
 the lockstep chunk loop and the replay that locates a blow-up.
 
+Each substep of size h is one Euler-Maruyama step of the reversible part
+followed by the flow Phi of the rotational part (a Lie split):
+Z <- Phi_{delta h}(Z + (c - grad U(Z)) h + w).  Phi is the potential's
+``rotation_flow`` of z' = J2 grad U(z), so the rotation costs no stability
+limit and its bias grows with delta h, not delta^2 h.  On a potential without
+a flow (``bimodal2``, ``threewell``) the rotation stays in the Euler step.
+
 Every supported drift enters the update in one affine form,
-C(Z) - grad U(Z) = grad U(Z) M + c (``_affine_drift``): no drift (M = -I),
-a ``ConstantDrift`` (M = -I, c = delta c0) and a ``RotationalDrift`` of the
-sampled potential (M = delta J2^T - I).  Any other drift is rejected before a
-normal is drawn.  Each substep is then one gradient call, one product with
-M h and two in-place additions.
+C(Z) - grad U(Z) = grad U(Z) M + c plus the flow (``_affine_drift``): no
+drift (M = -I), a ``ConstantDrift`` (M = -I, c = delta c0) and a
+``RotationalDrift`` of the sampled potential (M = -I and the flow, or
+M = delta J2^T - I without one).  Any other drift is rejected before a normal
+is drawn.  Each substep is then one gradient call, one product with M h, two
+in-place additions and, for a rotating cell with a flow, one flow call.
 """
 
 from __future__ import annotations
@@ -28,13 +36,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drift import unit_parts
+from .drift import J2, unit_parts
 from .errors import DimensionError, ParameterError, PropagationError
 from .potentials import PotentialField
 from .rng import NORMAL_ALGORITHM, NormalStream
 
 TRAJECTORY_FORMAT = "irrlangevin-trajectory"
 TRAJECTORY_VERSION = 1
+
+#: Largest rotation time delta * h of one split substep: automatic substeps
+#: keep delta * dt / substeps <= FLOW_THETA.
+FLOW_THETA = 0.1
 
 #: Nominal integration steps per noise chunk of ``simulate_cells``: a chunk
 #: holds cells x max(substeps, NOISE_CHUNK) x d normals at most.
@@ -53,16 +65,21 @@ def _check_step(diffusion: float, dt: float, substeps: int) -> None:
 
 
 def _affine_drift(potential: PotentialField, drifts: Sequence):
-    """The affine form C(Z) - grad U(Z) = grad U(Z) M + c of the cells' drifts.
+    """The cells' drifts as ``(M, c, rotation)``: C(Z) - grad U(Z) =
+    grad U(Z) M + c, plus the rotation delta J2 grad U when it goes to the flow.
 
-    ``M`` is the scalar -1 (standing for -I) when no cell rotates, one (d, d)
-    matrix delta J2^T - I when every cell has the same one, and an (n, d, d)
-    stack otherwise; ``c`` is None, or the (n, d) rows delta * c0 of the
-    constant drifts.  ``drift.unit_parts`` gives each cell's J2^T and c0 and
-    rejects any drift outside the family; its errors name the cell.
+    The choice is made once for the group.  When no cell rotates, or the
+    potential has a ``rotation_flow``, ``M`` is the scalar -1 (standing for
+    -I); ``rotation`` is then None, or (flow, deltas) with the cells' rotation
+    strengths (one float when they agree, else an (n,) array with 0 for a
+    cell that does not rotate).  Without a flow the rotation stays in M:
+    one (d, d) matrix delta J2^T - I when every cell has the same one, an
+    (n, d, d) stack otherwise.  ``c`` is None, or the (n, d) rows delta * c0
+    of the constant drifts.  ``drift.unit_parts`` gives each cell's J2^T and
+    c0 and rejects any drift outside the family; its errors name the cell.
     """
     n, d = len(drifts), potential.dimension
-    rotations = {}  # cell -> delta J2^T, so M = -I costs no (d, d) array
+    rotates, deltas = False, np.zeros(n)  # rotation strength per cell
     cs = np.zeros((n, d))
     for i, dr in enumerate(drifts):
         try:
@@ -70,17 +87,17 @@ def _affine_drift(potential: PotentialField, drifts: Sequence):
         except ParameterError as exc:
             raise type(exc)(f"cell {i}: {exc}") from None
         if rotation is not None:
-            rotations[i] = dr.delta * rotation
+            rotates, deltas[i] = True, dr.delta
         if vector is not None:
             cs[i] = dr.delta * vector
     c = cs if cs.any() else None
-    if not rotations:
-        return -1.0, c
-    M = np.zeros((n, d, d))
-    for i, rotation in rotations.items():
-        M[i] = rotation
-    M -= np.eye(d)
-    return (M[0] if (M == M[0]).all() else M), c
+    if not rotates:
+        return -1.0, c, None
+    if potential.rotation_flow is not None:
+        uniform = (deltas == deltas[0]).all()
+        return -1.0, c, (potential.rotation_flow, float(deltas[0]) if uniform else deltas)
+    M = deltas[:, None, None] * J2.T - np.eye(d)
+    return (M[0] if (M == M[0]).all() else M), c, None
 
 
 def _cellwise_matmul(grads, Mh):
@@ -89,15 +106,17 @@ def _cellwise_matmul(grads, Mh):
 
 
 def _em_path(states, grad_fn, drift, dt: float, substeps: int, w):
-    """The Euler-Maruyama rule Z <- Z + (C(Z) - grad U(Z)) h + w at
-    h = dt / substeps, with the drift in the affine form ``drift = (M, c)``
-    of ``_affine_drift`` and w = sqrt(2 D h) * normals.  h is folded into M
-    and c once, so each update is grad U(Z) (M h) + c h + Z + w.  One update
-    per row ``w[k]`` of the (k * substeps, n_cells, d) increments; yields the
-    (n_cells, d) states on the recording grid, i.e. after every ``substeps``
-    updates."""
+    """The split rule Z <- Phi_a(Z + (C(Z) - grad U(Z)) h + w) at
+    h = dt / substeps, with the drift ``drift = (M, c, rotation)`` of
+    ``_affine_drift``, w = sqrt(2 D h) * normals and Phi_a the rotation flow
+    for time a = delta h (absent when ``rotation`` is None).  h is folded into
+    M and c once, so each Euler part is grad U(Z) (M h) + c h + Z + w.  One
+    update per row ``w[k]`` of the (k * substeps, n_cells, d) increments;
+    yields the (n_cells, d) states on the recording grid, i.e. after every
+    ``substeps`` updates."""
     h = dt / substeps
-    M, c = drift
+    M, c, rotation = drift
+    flow, a = (None, None) if rotation is None else (rotation[0], rotation[1] * h)
     Mh = M * h
     ch = None if c is None else c * h
     product = (operator.mul if np.ndim(M) == 0 else
@@ -109,7 +128,7 @@ def _em_path(states, grad_fn, drift, dt: float, substeps: int, w):
                 step += ch
             step += states
             step += w[k]
-            states = step
+            states = step if flow is None else flow(step, a)
         yield states
 
 
@@ -136,8 +155,8 @@ def simulate_cells(
     ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states.
 
     With ``substeps`` > 1 each recorded step is integrated as ``substeps``
-    Euler-Maruyama updates of size dt/substeps, consuming substeps * d
-    normals per recorded step (substep-major, coordinate-minor).
+    split updates of size dt/substeps (see ``_em_path``), consuming
+    substeps * d normals per recorded step (substep-major, coordinate-minor).
     """
     n_cells = len(drifts)
     if len(streams) != n_cells:
@@ -189,15 +208,20 @@ def simulate_cells(
     return out
 
 
-def stable_substeps(delta: float, dt: float) -> int:
-    """Substep count keeping the Euler update of a rotation-dominated well
-    contractive with margin: integration step <= dt / ceil(4 delta^2 dt).
+def stable_substeps(delta: float, dt: float, split: bool) -> int:
+    """Automatic substep count at drift strength delta and step dt.
 
-    The linearized well update (-I + delta J) H has eigenvalues with
-    imaginary part ~ delta * |H|, so |1 + dt lam| exceeds 1 once
-    delta^2 dt is order one; a factor-4 safety margin keeps moderately
-    stiff Hessians stable too."""
-    return max(1, math.ceil(4.0 * delta * delta * dt))
+    With ``split`` (the potential has a ``rotation_flow``) the rotation is a
+    flow, stable at any angle, whose bias grows with delta h: the count is
+    ceil(|delta| dt / FLOW_THETA).  Otherwise the rotation sits in the Euler
+    update, whose linearized well multiplier (-I + delta J) H has imaginary
+    part ~ delta |H| h, so |1 + h lam| exceeds 1 once delta^2 h is order one:
+    the count is ceil(4 delta^2 dt), a factor-4 margin for moderately stiff
+    Hessians.  A delta whose count overflows a float is a ParameterError."""
+    x = abs(delta) * dt / FLOW_THETA if split else 4.0 * delta * delta * dt
+    if not math.isfinite(x):
+        raise ParameterError(f"delta {delta} is too large for automatic substeps")
+    return max(1, math.ceil(x))
 
 
 def save_trajectory(states, config: dict, path) -> None:

@@ -99,13 +99,14 @@ def test_probe_records_one_group_per_delta_of_an_estimate_run(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert [(g["delta"], g["substeps"]) for g in probe.groups] == [
         (entry["delta"], entry["substeps"]) for entry in manifest["substeps"]]
-    assert [g["substeps"] for g in probe.groups] == [1, 40]
+    # quadratic U carries a rotation flow, so delta 100 at dt 1e-3 takes 1 substep
+    assert [g["substeps"] for g in probe.groups] == [1, 1]
     assert all(g["cells"] == 2 and g["steps"] == 500 for g in probe.groups)
     metrics = spans.layer_metrics(recorder, recorder.run_id, probe.groups)
     assert metrics["sampler.calls"] == 2
-    assert metrics["sampler.cell_substeps"] == 2 * 500 * (1 + 40)
-    assert metrics["rng.normals"] == 2 * 2 * 500 * (1 + 40)
-    assert metrics["potentials.grad_calls"] == 500 * (1 + 40)
+    assert metrics["sampler.cell_substeps"] == 2 * 500 * (1 + 1)
+    assert metrics["rng.normals"] == 2 * 2 * 500 * (1 + 1)
+    assert metrics["potentials.grad_calls"] == 500 * (1 + 1)
     assert metrics["estimators.batch_means_calls"] == 4
     assert metrics["estimators.autocov_calls"] == 4
     assert metrics["estimators.observable_calls"] > 0

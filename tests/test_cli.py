@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -315,25 +318,31 @@ def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):
                                   "ell_grid": []}
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["simulate"], [(100.0, 40)]),
-    (["estimate"], [(0.0, 1), (100.0, 40)]),
-    (["sweep"], [(0.0, 1), (100.0, 40)]),
-    (["reproduce-table", "--table", "1", "--scale", "0.02"], [(0.0, 1), (10.0, 1),
-                                                               (100.0, 40)]),
-])
-def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, argv,
-                                                      expected):
-    ran = []
+def fake_simulate_cells(ran):
+    """A ``simulate_cells`` stand-in that records (delta, substeps) in ``ran``."""
 
-    def fake_simulate_cells(potential, drifts, diffusion, dt, n_steps, *args, substeps,
-                            observable=None, **kwargs):
+    def simulate_cells(potential, drifts, diffusion, dt, n_steps, *args, substeps,
+                       observable=None, **kwargs):
         ran.append((0.0 if drifts[0] is None else drifts[0].delta, substeps))
         shape = (len(drifts), n_steps + 1) + ((potential.dimension,) if observable is None
                                               else ())
         return np.random.default_rng(0).standard_normal(shape)
 
-    monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells)
+    return simulate_cells
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["simulate"], [(100.0, 1)]),
+    (["estimate"], [(0.0, 1), (100.0, 1)]),
+    (["sweep"], [(0.0, 1), (100.0, 1)]),
+    (["reproduce-table", "--table", "1", "--scale", "0.02"], [(0.0, 1), (10.0, 1),
+                                                               (100.0, 1)]),
+])
+def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, argv,
+                                                      expected):
+    # quadratic and bimodal1 carry a rotation flow: ceil(|delta| dt / 0.1) substeps
+    ran = []
+    monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells(ran))
     deltas = [100.0] if argv[0] == "simulate" else [0.0, 100.0]
     cfg = write_config(tmp_path, ou_config(drift={"deltas": deltas}, horizon=0.05,
                                            burn_in=0.01, seeds=[1]))
@@ -342,10 +351,27 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
         argv = argv + ["--config", cfg]
     assert main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["substeps"] == [{"delta": d, "substeps": n} for d, n in expected]
+    assert manifest["substeps"] == [{"delta": d, "substeps": n, "h": 1e-3 / n,
+                                     "rotation": "flow"} for d, n in expected]
     if argv[0] == "simulate":
-        assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 40
+        assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 1
     assert ran == expected
+
+
+def test_manifest_records_the_euler_rule_of_a_potential_without_a_flow(tmp_path,
+                                                                       monkeypatch):
+    # bimodal2 keeps the rotation in the Euler step: ceil(4 delta^2 dt) substeps
+    ran = []
+    monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells(ran))
+    cfg = write_config(tmp_path, ou_config(potential="bimodal2",
+                                           drift={"deltas": [0.0, 100.0]},
+                                           horizon=0.05, burn_in=0.01, seeds=[1]))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["substeps"] == [
+        {"delta": 0.0, "substeps": 1, "h": 1e-3, "rotation": "euler"},
+        {"delta": 100.0, "substeps": 40, "h": 1e-3 / 40, "rotation": "euler"}]
+    assert ran == [(0.0, 1), (100.0, 40)]
 
 
 @pytest.mark.parametrize("argv, deltas", [
@@ -364,8 +390,9 @@ def test_manifest_records_the_sampler_cost_of_each_delta(tmp_path, argv, deltas)
     timing = json.loads((out / "manifest.json").read_text())["sampler_timing"]
     assert [entry["delta"] for entry in timing] == deltas
     for entry in timing:
-        assert set(entry) == {"delta", "wall_s", "cell_substeps_per_s"}
+        assert set(entry) == {"delta", "wall_s", "cpu_s", "cell_substeps_per_s"}
         assert entry["wall_s"] > 0 and entry["cell_substeps_per_s"] > 0
+        assert entry["cpu_s"] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +462,13 @@ BAD_INPUTS = {
     "ell_repeated": ("spectral", spectral_config(ell_grid=[0.3, 0.3, -0.2]), []),
     "series_too_long": ("estimate", ou_config(horizon=1e12), []),
     "noise_chunk_too_large": (
-        "estimate", ou_config(drift={"kind": "rotational", "deltas": [1e5]}), []),
+        "estimate", ou_config(drift={"kind": "rotational", "deltas": [1e10]}), []),
+    "noise_chunk_too_large_euler": (
+        "estimate", ou_config(potential="bimodal2",
+                              drift={"kind": "rotational", "deltas": [1e5]}), []),
+    "delta_too_large_for_automatic_substeps": (
+        "estimate", ou_config(drift={"kind": "rotational", "deltas": [1e306]}, dt=1e3,
+                              horizon=1e4, burn_in=0.0), []),
     "constant_drift_on_quadratic": (
         "estimate", ou_config(drift={"kind": "constant", "deltas": [0, 2]},
                               diffusion=0.5, horizon=200.0), []),
@@ -483,6 +516,9 @@ NAMED_IN_MESSAGE = {
     "ratefn_rotational_vector": "unknown or unused key 'drift.vector'",
     "simulate_two_deltas": "one of deltas, got [0.0, 1.0]",
     "simulate_two_seeds": "one of seeds, got [1, 2]",
+    "noise_chunk_too_large": "values in one series or noise chunk",
+    "noise_chunk_too_large_euler": "values in one series or noise chunk",
+    "delta_too_large_for_automatic_substeps": "too large for automatic substeps",
 }
 
 
@@ -658,3 +694,12 @@ def test_fuzzed_configs_exit_2_or_reach_the_solver(base, data, tmp_path, solvers
         return
     assert code == 2
     assert solvers == []
+
+
+def test_importing_the_cli_leaves_scipy_special_unloaded():
+    # scipy.special takes ~0.2 s to import; rng and estimators load it on first use
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, irrlangevin.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"

@@ -143,3 +143,76 @@ def test_2d_gradients_equal_the_stacked_formulas_bitwise(name, shape):
     # a strided view of the points gives the same bytes
     wide = np.concatenate([z, z[..., :1]], axis=-1)
     assert field.grad_fn(wide[..., :2]).tobytes() == got.tobytes()
+
+
+#: The catalog entries with a ``rotation_flow``, with the params tested.
+FLOWS = {"quadratic": {}, "bimodal1": {}, "torus-cosine": {"a": 0.5, "b": -0.7},
+         "torus-zero": {"dim": 2}}
+
+
+def flow_field(name):
+    return get_potential(name, **FLOWS[name])
+
+
+def rotational_field(field, z):
+    """J2 grad U(z) = (dU/dy, -dU/dx)."""
+    g = field.grad(z)
+    return np.stack((g[..., 1], -g[..., 0]), axis=-1)
+
+
+def test_flows_are_carried_by_the_separable_and_linear_entries():
+    # bimodal2 and threewell are not separable: no explicit area-preserving step
+    have = {name for name in ALL_NAMES if get_potential(name).rotation_flow is not None}
+    assert have == set(FLOWS)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_rotation_flow_preserves_area(name):
+    # det D Phi_a = 1, by central differences
+    field, eps = flow_field(name), 1e-5
+    z = sample_points(field, 20, seed=1)
+    jac = np.empty(z.shape + (2,))
+    for axis in range(2):
+        shift = np.zeros(2)
+        shift[axis] = eps
+        jac[..., axis] = (field.rotation_flow(z + shift, 0.3)
+                          - field.rotation_flow(z - shift, 0.3)) / (2.0 * eps)
+    np.testing.assert_allclose(np.linalg.det(jac), 1.0, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_rotation_flow_backwards_undoes_it(name):
+    field = flow_field(name)
+    z = sample_points(field, 20, seed=2)
+    for a in (0.3, np.linspace(-0.5, 0.5, 20)):  # one time, or one per point
+        back = field.rotation_flow(field.rotation_flow(z, a), -a)
+        np.testing.assert_allclose(back, z, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_rotation_flow_follows_the_rotational_field(name):
+    # (Phi_a(z) - z) / a -> J2 grad U(z) as a -> 0, at first order in a
+    field = flow_field(name)
+    z = sample_points(field, 20, seed=3)
+    errors = [np.max(np.abs((field.rotation_flow(z, a) - z) / a - rotational_field(field, z)))
+              for a in (1e-3, 1e-4)]
+    assert errors[0] <= 0.1
+    assert errors[1] <= errors[0] / 5.0 + 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_rotation_flow_energy_error_is_third_order(name):
+    # the flow conserves U; one step's error shrinks ~8x per halving of a
+    field = flow_field(name)
+    z = sample_points(field, 50, seed=4)
+    errors = [np.max(np.abs(field.eval(field.rotation_flow(z, a)) - field.eval(z)))
+              for a in (0.02, 0.01)]
+    assert errors[1] <= errors[0] / 6.0 + 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_rotation_flow_for_time_zero_is_the_identity(name):
+    field = flow_field(name)
+    z = sample_points(field, 20, seed=5)
+    np.testing.assert_array_equal(field.rotation_flow(z, 0.0), z)
+    np.testing.assert_array_equal(field.rotation_flow(z, np.zeros(20)), z)

@@ -57,9 +57,12 @@ def test_em_step_deterministic_euler():
 
 
 def test_em_step_with_rotation():
+    # the Euler step of -grad U gives (0.5, 0), then the exact flow of
+    # z' = J2 z rotates it by delta * dt = 0.5
     drift = make_rotational_drift(QUAD, 1.0)
     out = em_step([1.0, 0.0], QUAD, drift, 0.0, 0.5, [0.0, 0.0])
-    np.testing.assert_allclose(out, [0.5, -0.5])
+    np.testing.assert_allclose(out, [0.5 * math.cos(0.5), -0.5 * math.sin(0.5)],
+                               rtol=1e-15)
 
 
 def test_em_step_noise_scaling():
@@ -193,17 +196,39 @@ def _bimodal_drift(kind, delta, potential=None):
 @pytest.mark.parametrize("delta", [0.37, 3.7, 100.0])
 @pytest.mark.parametrize("kind", ["none", "constant", "rotational"])
 def test_em_step_is_the_literal_euler_maruyama_update(kind, delta):
-    # z + (C(z) - grad U(z)) dt + sqrt(2 D dt) w, written out here as the oracle
+    # z + (c - grad U(z)) dt + sqrt(2 D dt) w, written out here as the oracle;
+    # a rotational drift then moves it by one Stormer-Verlet step of
+    # x' = y, y' = -(x^3 - x) for time delta dt
     bimodal = get_potential("bimodal1")
     drift = _bimodal_drift(kind, delta, bimodal)
     diffusion, dt = 0.1, 1e-3
     rng = np.random.default_rng(7)
     for z in rng.uniform(0.2, 1.5, size=(5, 2)) * [1.0, -1.0]:
         w = rng.standard_normal(2)
-        c = 0.0 if drift is None else drift.delta * drift.base_eval(z)
+        c = drift.delta * drift.base_eval(z) if kind == "constant" else 0.0
         literal = z + (c - bimodal.grad(z)) * dt + math.sqrt(2 * diffusion * dt) * w
+        if kind == "rotational":
+            x, y, a = *literal, delta * dt
+            y = y - a / 2 * x * (x * x - 1.0)
+            x = x + a * y
+            literal = np.array([x, y - a / 2 * x * (x * x - 1.0)])
         np.testing.assert_allclose(em_step(z, bimodal, drift, diffusion, dt, w), literal,
                                    rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", ["bimodal2", "threewell"])
+def test_rotation_without_a_flow_stays_in_the_euler_update(name):
+    # z + (delta J2 grad U(z) - grad U(z)) dt + sqrt(2 D dt) w, as the oracle
+    potential = get_potential(name)
+    drift = make_rotational_drift(potential, 3.7)
+    diffusion, dt = 0.1, 1e-3
+    rng = np.random.default_rng(8)
+    for z in rng.uniform(-1.5, 1.5, size=(5, 2)):
+        w = rng.standard_normal(2)
+        literal = (z + (drift.delta * drift.base_eval(z) - potential.grad(z)) * dt
+                   + math.sqrt(2 * diffusion * dt) * w)
+        np.testing.assert_allclose(em_step(z, potential, drift, diffusion, dt, w),
+                                   literal, rtol=1e-13, atol=1e-16)
 
 
 def test_cells_with_different_drifts_match_one_cell_runs():
@@ -341,17 +366,30 @@ def test_stream_independence_of_increments():
 
 
 def test_stable_substeps_rule():
-    assert stable_substeps(0.0, 1e-3) == 1
-    assert stable_substeps(10.0, 1e-3) == 1
-    assert stable_substeps(100.0, 1e-3) == 40
+    # split: ceil(|delta| dt / 0.1); rotation in the Euler step: ceil(4 delta^2 dt)
+    for split in (True, False):
+        assert stable_substeps(0.0, 1e-3, split) == 1
+        assert stable_substeps(10.0, 1e-3, split) == 1
+    assert stable_substeps(100.0, 1e-3, True) == 1
+    assert stable_substeps(-100.0, 1e-2, True) == 10
+    assert stable_substeps(100.0, 1e-3, False) == 40
+    # the config applies the rule of the potential it samples
+    for name, substeps in (("quadratic", 1), ("bimodal1", 1), ("torus-cosine", 1),
+                           ("bimodal2", 40), ("threewell", 40)):
+        config = ExperimentConfig(potential=name, deltas=(100.0,), diffusion=0.1,
+                                  dt=1e-3, horizon=1.0, burn_in=0.1, seeds=(1,))
+        assert config.substeps_at(100.0) == substeps, name
+    with pytest.raises(ParameterError, match="too large for automatic substeps"):
+        stable_substeps(1e308, 1e3, True)
 
 
 def substep_radius(delta, dt):
     """The spectral radius of one sampler substep on quadratic U at
-    ``stable_substeps(delta, dt)``, and the substep size h.  The update is
-    linear there, Z <- Z A with A = (1 - h) I + h delta J2^T, so one noiseless
-    recorded step from e1 and e2 gives the rows of A^n."""
-    n = stable_substeps(delta, dt)
+    ``stable_substeps(delta, dt, split=True)``, and the substep size h.  The
+    update is linear there, Z <- Z A with A = (1 - h) R(delta h) for the
+    rotation R of the exact flow, so one noiseless recorded step from e1 and
+    e2 gives the rows of A^n."""
+    n = stable_substeps(delta, dt, split=True)
     power = simulate_cells(QUAD, [make_rotational_drift(QUAD, delta)] * 2, 0.0, dt,
                            1, np.eye(2), [NormalStream(0, i) for i in (0, 1)],
                            substeps=n)[:, 1]
@@ -361,22 +399,22 @@ def substep_radius(delta, dt):
 @pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 10.0, 100.0])
 def test_stable_substeps_keep_the_linear_well_contractive(delta, dt):
-    # A's eigenvalues are (1 - h) +- i h delta
+    # A's eigenvalues are (1 - h) e^{+-i delta h}: the rotation costs nothing
     radius, h = substep_radius(delta, dt)
-    assert radius == pytest.approx(math.hypot(1.0 - h, h * delta), rel=0, abs=1e-12)
+    assert radius == pytest.approx(1.0 - h, rel=0, abs=1e-12)
     assert radius < 1.0
 
 
-@pytest.mark.parametrize("delta, bias", [(10.0, 0.0532), (100.0, 0.1429)])
-def test_stable_substeps_stationary_bias_at_dt_1e3(delta, bias):
+@pytest.mark.parametrize("delta", [0.0, 10.0, 100.0])
+def test_stable_substeps_stationary_bias_at_dt_1e3(delta):
     # A A^T = radius^2 I, so the chain's stationary E|Z|^2 is 2D * 2h / (1 -
-    # radius^2), 1 / (1 - h (1 + delta^2) / 2) times the Gibbs value 2D.  A
-    # change to the substep rule has to update these numbers on purpose.
+    # radius^2) = 2D / (1 - h / 2), the same at every delta (the Euler step
+    # with the rotation inside gave 1 / (1 - h (1 + delta^2) / 2), +14% at
+    # delta 100).  A change to the substep rule has to update this on purpose.
     radius, h = substep_radius(delta, 1e-3)
     relative = 2.0 * h / (1.0 - radius**2) - 1.0
-    assert relative == pytest.approx(1.0 / (1.0 - h * (1.0 + delta**2) / 2.0) - 1.0,
-                                     rel=1e-9)
-    assert round(relative, 4) == bias
+    assert relative == pytest.approx(1.0 / (1.0 - h / 2.0) - 1.0, rel=1e-9)
+    assert round(relative, 8) == 5.0025e-4
 
 
 def time_average(series, dt, burn_in):
@@ -403,8 +441,43 @@ def test_invariant_mean_unchanged_by_drift():
         series = simulate_cells(
             QUAD, [drift], 0.1, dt, n_steps, [(1.0, 1.0)],
             [NormalStream(21, int(delta))], observable=sumsq,
-            substeps=stable_substeps(delta, dt),
+            substeps=stable_substeps(delta, dt, split=True),
         )
         averages[delta] = time_average(series[0], dt, burn_in=5.0)
     for delta, avg in averages.items():
         assert avg == pytest.approx(0.2, rel=0.10), f"delta={delta}"
+
+
+def bimodal1_gibbs(n, diffusion, rng):
+    """n exact samples of the Gibbs law exp(-U / D) of bimodal1, U = (x^2 -
+    1)^2 / 4 + y^2 / 2 (x by the inverse of its CDF on a quadrature grid, y
+    normal with variance D), and E x^2 by the same quadrature."""
+    x = np.linspace(-3.0, 3.0, 20001)
+    w = np.exp(-0.25 * (x**2 - 1.0) ** 2 / diffusion)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(x))))
+    ex2 = np.trapezoid(x**2 * w, x) / np.trapezoid(w, x)
+    samples = np.column_stack((np.interp(rng.uniform(size=n), cdf / cdf[-1], x),
+                               math.sqrt(diffusion) * rng.standard_normal(n)))
+    return samples, ex2
+
+
+def test_automatic_substeps_sample_the_bimodal1_gibbs_law_at_delta_100():
+    # cells start in the Gibbs law, so any drift of E x^2 or E y^2 over
+    # [1, 3] is the integrator's bias.  The Euler step with the rotation
+    # inside (40 substeps) gave E y^2 +18% and E x^2 -1.6% here.
+    bimodal, diffusion, dt, cells, segment = get_potential("bimodal1"), 0.1, 1e-3, 8000, 250
+    config = ExperimentConfig(potential="bimodal1", deltas=(100.0,), diffusion=diffusion,
+                              dt=dt, horizon=3.0, burn_in=1.0, seeds=(1,))
+    states, ex2 = bimodal1_gibbs(cells, diffusion, np.random.default_rng(0))
+    drifts = [make_rotational_drift(bimodal, 100.0)] * cells
+    streams = [NormalStream(1, i) for i in range(cells)]
+    sums, step = np.zeros((cells, 2)), 0
+    while step < config.n_steps:  # segments continue the same streams
+        out = simulate_cells(bimodal, drifts, diffusion, dt, segment, states, streams,
+                             substeps=config.substeps_at(100.0), chunk_size=segment)
+        step, states = step + segment, out[:, -1]
+        if step > 1000:
+            sums += np.sum(out[:, 1:] ** 2, axis=1)
+    means = sums.mean(axis=0) / 2000
+    assert abs(means[1] / diffusion - 1.0) <= 0.02, means
+    assert abs(means[0] / ex2 - 1.0) <= 0.01, (means, ex2)
