@@ -308,8 +308,13 @@ class ExperimentConfig:
         return "euler" if self.build_potential().rotation_flow is None else "flow"
 
     def substeps_at(self, delta: float) -> int:
+        """Substeps per recorded step at ``delta``.  Automatic substeps follow
+        delta only for a rotational drift: the Euler step of a constant drift
+        or none sees only -grad U, as delta = 0 does, and takes 1."""
         if self.substeps != "auto":
             return self.substeps
+        if self.drift_kind != "rotational":
+            return 1
         return stable_substeps(delta, self.dt, split=self.rotation == "flow")
 
     @property
@@ -437,10 +442,13 @@ def _delta_group_rows(config: ExperimentConfig,
     streams = [NormalStream(seed, splitmix64(delta_index, j))
                for j, seed in enumerate(config.seeds)]
     start, cpu = time.perf_counter(), time.process_time()
-    series = simulate_cells(
-        potential, [config.drift(potential, delta)] * cells, config.diffusion,
-        config.dt, n_steps, [config.initial] * cells, streams,
-        observable=get_observable(config.observable).fn, substeps=substeps)
+    try:
+        series = simulate_cells(
+            potential, [config.drift(potential, delta)] * cells, config.diffusion,
+            config.dt, n_steps, [config.initial] * cells, streams,
+            observable=get_observable(config.observable).fn, substeps=substeps)
+    except PropagationError as exc:
+        raise PropagationError(f"delta {delta}: {exc}", exc.step_index) from None
     wall = time.perf_counter() - start
     timing = {"delta": delta, "wall_s": wall, "cpu_s": time.process_time() - cpu,
               "cell_substeps_per_s": cells * n_steps * substeps / wall}

@@ -68,9 +68,9 @@ def _rotation_matrix(a: float) -> np.ndarray:
 
 def _rotation(z, a):
     """The exact flow of x' = y, y' = -x: a rotation by angle a.  A sampler
-    calls it once per substep with one a, so that matrix is cached."""
-    if np.ndim(a) == 0:
-        return z @ _rotation_matrix(float(a))
+    calls it once per substep with one float a, so that matrix is cached."""
+    if isinstance(a, float):
+        return z @ _rotation_matrix(a)
     c, s = np.cos(a), np.sin(a)
     out = np.empty(z.shape)
     out[..., 0] = c * z[..., 0] + s * z[..., 1]

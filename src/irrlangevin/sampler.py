@@ -8,8 +8,14 @@ shared state.
 
 ``simulate_cells`` is the one sampling entry point: it advances many (drift
 strength, stream) cells of a shared potential in lockstep, and a single
-trajectory is its one-cell case.  One update rule, ``_em_path``, serves both
-the lockstep chunk loop and the replay that locates a blow-up.
+trajectory is its one-cell case.  It draws the normals of a chunk of steps
+at once, scaled as they are stored, and one update rule, ``_em_path``, runs
+the whole chunk in place: each update overwrites the increment row it
+consumed with the state it produces.  The chunk is then recorded at once:
+its recorded states are every ``substeps``-th row, the observable is called
+once on that (steps, cells, d) block, and a blow-up's first non-finite step
+and cell are read from the same rows.  So an observable must be vectorised
+over leading axes, as every ``OBSERVABLES`` entry is.
 
 Each substep of size h is one Euler-Maruyama step of the reversible part
 followed by the flow Phi of the rotational part (a Lie split):
@@ -105,15 +111,15 @@ def _cellwise_matmul(grads, Mh):
     return (grads[:, None] @ Mh)[:, 0]
 
 
-def _em_path(states, grad_fn, drift, dt: float, substeps: int, w):
+def _em_path(states, grad_fn, drift, dt: float, substeps: int, w) -> None:
     """The split rule Z <- Phi_a(Z + (C(Z) - grad U(Z)) h + w) at
     h = dt / substeps, with the drift ``drift = (M, c, rotation)`` of
     ``_affine_drift``, w = sqrt(2 D h) * normals and Phi_a the rotation flow
     for time a = delta h (absent when ``rotation`` is None).  h is folded into
-    M and c once, so each Euler part is grad U(Z) (M h) + c h + Z + w.  One
-    update per row ``w[k]`` of the (k * substeps, n_cells, d) increments;
-    yields the (n_cells, d) states on the recording grid, i.e. after every
-    ``substeps`` updates."""
+    M and c once, so each Euler part is w + (grad U(Z) (M h) + c h + Z).  One
+    update per row ``w[k]`` of the (k * substeps, n_cells, d) increments,
+    starting from the (n_cells, d) ``states``; update k overwrites ``w[k]``
+    with the state it produces."""
     h = dt / substeps
     M, c, rotation = drift
     flow, a = (None, None) if rotation is None else (rotation[0], rotation[1] * h)
@@ -121,15 +127,15 @@ def _em_path(states, grad_fn, drift, dt: float, substeps: int, w):
     ch = None if c is None else c * h
     product = (operator.mul if np.ndim(M) == 0 else
                operator.matmul if np.ndim(M) == 2 else _cellwise_matmul)
-    for j in range(len(w) // substeps):
-        for k in range(j * substeps, (j + 1) * substeps):
-            step = product(grad_fn(states), Mh)
-            if ch is not None:
-                step += ch
-            step += states
-            step += w[k]
-            states = step if flow is None else flow(step, a)
-        yield states
+    for k in range(len(w)):
+        step = product(grad_fn(states), Mh)
+        if ch is not None:
+            step += ch
+        step += states
+        states = w[k]
+        states += step
+        if flow is not None:
+            states[...] = flow(states, a)
 
 
 def simulate_cells(
@@ -152,7 +158,8 @@ def simulate_cells(
     ``_affine_drift``); any other is a ParameterError.  Returns
     the full state history ``(n_cells, n_steps + 1, d)`` at the recording
     grid 0, dt, 2 dt, ..., or, when ``observable`` is given, the series
-    ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states.
+    ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states; f is
+    called once per noise chunk, on its (steps, n_cells, d) block of states.
 
     With ``substeps`` > 1 each recorded step is integrated as ``substeps``
     split updates of size dt/substeps (see ``_em_path``), consuming
@@ -191,19 +198,22 @@ def simulate_cells(
             # step-major: row k holds every cell's k-th increment
             noise = np.empty((m * substeps, n_cells, d))
             for i, stream in enumerate(streams):
-                noise[:, i] = stream.normals(m * substeps * d).reshape(m * substeps, d)
-            noise *= scale  # in place: a scaled copy would double the chunk's memory
-            start = states
-            for j, states in enumerate(_em_path(start, *rule, noise), start=step + 1):
-                out[:, j] = record(states)
-            if not np.all(np.isfinite(states)):
+                np.multiply(stream.normals(m * substeps * d).reshape(m * substeps, d),
+                            scale, out=noise[:, i])
+            _em_path(states, *rule, noise)
+            recorded = noise[substeps - 1::substeps]
+            out[:, step + 1:step + m + 1] = record(recorded).swapaxes(0, 1)
+            if not np.all(np.isfinite(noise[-1])):
                 # a non-finite coordinate stays non-finite under the update,
                 # so the first non-finite recorded state marks the blow-up
-                j = next(j for j, z in enumerate(_em_path(start, *rule, noise), step + 1)
-                         if not np.all(np.isfinite(z)))
+                k, i = np.argwhere(~np.isfinite(recorded).all(axis=-1))[0]
+                j = step + 1 + int(k)
                 raise PropagationError(
-                    f"trajectory became non-finite at step {j} (t = {j * dt:g}); dt "
-                    f"is likely too large for the drift stiffness", step_index=j)
+                    f"trajectory became non-finite at step {j} (t = {j * dt:g}) in cell "
+                    f"{i}; dt is likely too large for the drift stiffness", step_index=j)
+            # a copy, so the chunk is freed before the next one is drawn
+            states = noise[-1].copy()
+            del noise, recorded
             step += m
     return out
 

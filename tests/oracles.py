@@ -1,10 +1,12 @@
 """Exact oracles the tests check the library against: the closed-form rate
 of the constant-drift circle, the eigenvalues of the discretized circle
-generator mode by mode, and smooth random test densities."""
+generator mode by mode, the moments of the split sampler's linear chain on
+quadratic U, and smooth random test densities."""
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from irrlangevin.errors import DimensionError
 from irrlangevin.ratefn import GridDensity, grid_points, spectral_gradient
@@ -71,3 +73,23 @@ def discrete_mode_eigenvalue(n: int, mode: int, delta: float,
         -(2.0 * diffusion / h**2) * (1.0 - math.cos(mode * h)),
         (delta / h) * math.sin(mode * h),
     )
+
+
+def split_chain_moments(delta: float, diffusion: float, dt: float, substeps: int):
+    """The exact law of the sampler's chain on quadratic U in 2 dimensions.
+
+    Each substep of size h = dt / substeps is Z' = R(delta h)((1 - h) Z + w)
+    with w ~ N(0, 2 D h I) and R(a) = [[cos a, sin a], [-sin a, cos a]], the
+    flow of x' = y, y' = -x.  Returns ``(A, sigma, sigma2)``: the matrix A of
+    one recorded step, Z_dt = A Z_0 + noise (columns are states); the
+    stationary covariance sigma, solving sigma = A1 sigma A1^T + 2 D h I for
+    the substep matrix A1; and the asymptotic variance of the time average of
+    x on the recording grid, dt (2 [(I - A)^-1 sigma]_xx - sigma_xx), since
+    Cov(Z_k, Z_0) = A^k sigma."""
+    h = dt / substeps
+    c, s = math.cos(delta * h), math.sin(delta * h)
+    a1 = (1.0 - h) * np.array([[c, s], [-s, c]])
+    sigma = solve_discrete_lyapunov(a1, 2.0 * diffusion * h * np.eye(2))
+    a = np.linalg.matrix_power(a1, substeps)
+    lagged = np.linalg.solve(np.eye(2) - a, sigma)
+    return a, sigma, dt * (2.0 * lagged[0, 0] - sigma[0, 0])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -114,6 +115,15 @@ def test_blowup_is_numeric_failure(tmp_path):
                     initial=[1.0, 1.0], diffusion=0.0, seeds=[1])
     cfg = write_config(tmp_path, doc)
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_blowup_names_its_delta_and_cell(tmp_path, capsys):
+    doc = ou_config(dt=3.0, horizon=3600.0, burn_in=3.0, initial=[1.0, 1.0],
+                    diffusion=0.1, seeds=[1, 2, 3], drift={"deltas": [2.0]}, substeps=1)
+    cfg = write_config(tmp_path, doc)
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert re.search(r"numeric failure: delta 2\.0: trajectory became non-finite at "
+                     r"step \d+ \(t = [^)]+\) in cell [0-2];", capsys.readouterr().err)
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -372,6 +382,24 @@ def test_manifest_records_the_euler_rule_of_a_potential_without_a_flow(tmp_path,
         {"delta": 0.0, "substeps": 1, "h": 1e-3, "rotation": "euler"},
         {"delta": 100.0, "substeps": 40, "h": 1e-3 / 40, "rotation": "euler"}]
     assert ran == [(0.0, 1), (100.0, 40)]
+
+
+@pytest.mark.parametrize("potential, drift, dt", [
+    ("bimodal2", {"kind": "none", "deltas": [100.0]}, 1e-3),
+    ({"name": "torus-zero", "params": {"dim": 2}}, {"kind": "constant", "deltas": [100.0]},
+     1e-2),
+])
+def test_automatic_substeps_follow_delta_only_for_a_rotational_drift(
+        tmp_path, monkeypatch, potential, drift, dt):
+    # the Euler step of no drift or a constant one sees only -grad U
+    ran = []
+    monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells(ran))
+    cfg = write_config(tmp_path, ou_config(potential=potential, drift=drift, dt=dt,
+                                           horizon=1.0, burn_in=0.1, batches=2, seeds=[1]))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [entry["substeps"] for entry in manifest["substeps"]] == [1]
+    assert [substeps for _, substeps in ran] == [1]
 
 
 @pytest.mark.parametrize("argv, deltas", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from irrlangevin.sampler import (
     simulate_cells,
     stable_substeps,
 )
+from oracles import split_chain_moments
 
 QUAD = get_potential("quadratic")
 
@@ -171,6 +173,31 @@ def test_blowup_step_index_is_first_non_finite_recorded_step(dt, substeps, step_
             run(diffusion=0.0, dt=dt, n_steps=round(3600.0 / dt), substeps=substeps,
                 chunk_size=chunk_size)
     assert err.value.step_index == step_index
+
+
+def test_blowup_names_the_first_non_finite_cell():
+    # x_n = (-2)^n x_0 leaves float64 at step 24 from x_0 = 2^1000, at 1024 from 1
+    initials = [(1.0, 1.0), (2.0**1000, 1.0), (1.0, 2.0**1000)]
+    with pytest.raises(PropagationError, match=r"at step 24 \(t = 72\) in cell 1;") as err:
+        simulate_cells(QUAD, [None] * 3, 0.0, 3.0, 100, initials,
+                       [NormalStream(1, i) for i in range(3)], chunk_size=10)
+    assert err.value.step_index == 24
+
+
+def test_one_noise_chunk_is_alive_at_a_time():
+    # the state carried into the next chunk is a copy, so the previous
+    # chunk is freed before the next one is drawn
+    cells, chunk, n_steps = 20, 500, 3000
+    streams = [NormalStream(2, i) for i in range(cells)]
+    NormalStream(0).normals(1)  # import the normal quantile outside the trace
+    tracemalloc.start()
+    try:
+        out = simulate_cells(QUAD, [None] * cells, 0.1, 1e-3, n_steps, [(1.0, 1.0)] * cells,
+                             streams, chunk_size=chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 1.5 * chunk * cells * 2 * 8
 
 
 @pytest.mark.parametrize("delta", [None, 3.7])
@@ -415,6 +442,50 @@ def test_stable_substeps_stationary_bias_at_dt_1e3(delta):
     relative = 2.0 * h / (1.0 - radius**2) - 1.0
     assert relative == pytest.approx(1.0 / (1.0 - h / 2.0) - 1.0, rel=1e-9)
     assert round(relative, 8) == 5.0025e-4
+
+
+@pytest.mark.parametrize("delta, dt, substeps", [(0.0, 1e-3, 1), (3.0, 0.2, 2),
+                                                 (10.0, 1e-2, 4), (100.0, 1e-3, 1)])
+def test_split_chain_oracle_matches_its_closed_form(delta, dt, substeps):
+    # A A^T = r^2 I with r = (1 - h)^substeps and A turns by delta dt, so
+    # sigma = 2D / (2 - h) I and sigma^2 = dt sigma_xx (1 - r^2) / |1 - r e^{i delta dt}|^2
+    diffusion, h = 0.1, dt / substeps
+    a, sigma, sigma2 = split_chain_moments(delta, diffusion, dt, substeps)
+    r = (1.0 - h) ** substeps
+    np.testing.assert_allclose(a @ a.T, r * r * np.eye(2), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sigma, 2 * diffusion / (2 - h) * np.eye(2), rtol=1e-12,
+                               atol=1e-15)
+    gap = (1.0 - r) ** 2 + 4.0 * r * math.sin(delta * dt / 2.0) ** 2
+    assert sigma2 == pytest.approx(dt * sigma[0, 0] * (1.0 - r * r) / gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta, quoted", [(0.0, 0.2), (1.0, 0.1), (3.0, 0.02),
+                                           (10.0, 0.00198)])
+def test_split_chain_sigma2_tends_to_the_continuum_value(delta, quoted):
+    # the OU process with drift -z + delta J2 z has sigma^2 = 2D / (1 + delta^2) for
+    # the time average of x; the chain is off by about h delta^2 / (1 + delta^2) < h
+    diffusion = 0.1
+    target = 2.0 * diffusion / (1.0 + delta**2)
+    for dt in (1e-3, 1e-4, 1e-5):
+        sigma2 = split_chain_moments(delta, diffusion, dt, 1)[2]
+        assert abs(sigma2 / target - 1.0) <= dt, (dt, sigma2)
+    assert float(f"{split_chain_moments(delta, diffusion, 1e-3, 1)[2]:.3g}") == quoted
+
+
+def test_sampler_lag1_covariance_is_the_split_chains():
+    # cells start in the chain's stationary law, so every recorded step has
+    # E[Z_(k+1) Z_k^T] = A sigma and E[Z_k Z_k^T] = sigma; chunks of 2 steps
+    delta, diffusion, dt, substeps, cells, n_steps = 3.0, 0.1, 0.4, 2, 20000, 5
+    a, sigma, _ = split_chain_moments(delta, diffusion, dt, substeps)
+    initials = np.random.default_rng(3).multivariate_normal(np.zeros(2), sigma, cells)
+    states = simulate_cells(QUAD, [make_rotational_drift(QUAD, delta)] * cells, diffusion,
+                            dt, n_steps, initials, [NormalStream(6, i) for i in range(cells)],
+                            substeps=substeps, chunk_size=2 * substeps)
+    for lag, expected in ((1, a @ sigma), (0, sigma)):
+        for k in range(n_steps + 1 - lag):
+            products = states[:, k + lag, :, None] * states[:, k, None, :]
+            se = products.std(axis=0, ddof=1) / math.sqrt(cells)
+            assert np.all(np.abs(products.mean(axis=0) - expected) <= 5 * se), (lag, k)
 
 
 def time_average(series, dt, burn_in):
