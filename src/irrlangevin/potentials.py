@@ -137,19 +137,21 @@ def _quadratic(dim: int = 2) -> PotentialField:
 
 
 def _bimodal1() -> PotentialField:
-    # U(x, y) = (x^2 - 1)^2 / 4 + y^2 / 2
+    # U(x, y) = V(x) + y^2 / 2 with V(x) = (x^2 - 1)^2 / 4
     def value(z):
         x, y = z[..., 0], z[..., 1]
         return 0.25 * (x**2 - 1.0) ** 2 + 0.5 * y**2
 
+    def dv(x):
+        return x * (x * x - 1.0)  # products, not x**3, which numpy sends to pow
+
     def grad(z):
         g = z.copy()  # dU/dy = y
-        x = z[..., 0]
-        g[..., 0] = x**3 - x
+        g[..., 0] = dv(z[..., 0])
         return g
 
-    return PotentialField("bimodal1", 2, value, grad, rotation_flow=_separable_flow(
-        lambda x: x * (x * x - 1.0), lambda y: y))
+    return PotentialField("bimodal1", 2, value, grad,
+                          rotation_flow=_separable_flow(dv, lambda y: y))
 
 
 def _bimodal2() -> PotentialField:

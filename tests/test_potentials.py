@@ -119,7 +119,7 @@ def _stacked_gradient(name, z, a=1.0, b=1.0):
     the one-array implementations must equal bit for bit."""
     x, y = z[..., 0], z[..., 1]
     if name == "bimodal1":
-        return np.stack([x**3 - x, y], axis=-1)
+        return np.stack([x * (x * x - 1.0), y], axis=-1)
     if name == "bimodal2":
         w = 3.0 * y + x**2 - 1.0
         return np.stack([4.0 * x * (x**2 - 1.0) + 2.0 * x * w, 3.0 * w], axis=-1)
