@@ -38,7 +38,9 @@ from .estimators import (
 from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
-from .sampler import NOISE_CHUNK, save_trajectory, simulate_cells, stable_substeps
+from .sampler import (
+    NOISE_CHUNK, non_finite_error, save_trajectory, simulate_cells, stable_substeps,
+)
 from .spectral import (
     FourierObservable, check_levels, fourier_sigma2, observable_rate, rate_curvature,
 )
@@ -99,10 +101,15 @@ _REQUIRED = object()
 #: eigensolve at N = 2048 took 13-16 s on 2 cores; a curvature needs one.
 MAX_RATE_GRID_NODES = 2**20
 MAX_SPECTRAL_GRID = 2048
-#: Most float64 values (512 MiB) one delta group may hold in its recorded
+#: Most float64 values (512 MiB) one lockstep batch may hold in its recorded
 #: series or in one noise chunk; the largest shipped run, a 200-seed
 #: ensemble of 50001 steps, records 1e7.
 MAX_SAMPLER_VALUES = 2**26
+#: Most cells one lockstep batch of several delta groups may hold.  A step
+#: costs a fixed 1-7 us of numpy dispatch plus 35-85 ns per cell, so merging
+#: pays below about 30-130 cells; wider groups run one call each and keep
+#: their recorded series apart.
+LOCKSTEP_CELLS = 64
 
 
 def _check(ok: bool, message: str) -> None:
@@ -212,8 +219,8 @@ class ExperimentConfig:
     the horizon holds one step and that ``initial`` (default: the origin) has
     the potential's dimension.  It sets ``checkpoints`` (default: the
     horizon), and checks that each checkpoint has 2 samples per batch and
-    that each delta group's recorded series ((n_steps + 1) x cells, or x d
-    for simulate's trajectory) and noise chunk fit in MAX_SAMPLER_VALUES."""
+    that each lockstep batch's recorded series and noise chunk fit in
+    MAX_SAMPLER_VALUES (see ``sampler_values``)."""
 
     potential: str
     deltas: tuple[float, ...]
@@ -272,16 +279,17 @@ class ExperimentConfig:
         try:
             potential = self.build_potential()
             get_observable(self.observable)
-            n_steps, cells, dims = self.n_steps, len(self.seeds), potential.dimension
+            n_steps, dims = self.n_steps, potential.dimension
             if self.initial is None:
                 object.__setattr__(self, "initial", (0.0,) * dims)
             _check(len(self.initial) == dims, f"initial state has dimension "
                    f"{len(self.initial)}, potential has dimension {dims}")
+            for batch in self.lockstep_batches():
+                values = self.sampler_values(batch)
+                _check(values <= MAX_SAMPLER_VALUES, f"delta {self.deltas[batch[0]]} "
+                       f"needs {values} values in one series or noise chunk, over "
+                       f"{MAX_SAMPLER_VALUES}")
             for delta in self.deltas:
-                values = max((n_steps + 1) * max(cells, dims),
-                             cells * max(self.substeps_at(delta), NOISE_CHUNK) * dims)
-                _check(values <= MAX_SAMPLER_VALUES, f"delta {delta} needs {values} "
-                       f"values in one series or noise chunk, over {MAX_SAMPLER_VALUES}")
                 self.drift(potential, delta)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
@@ -321,6 +329,33 @@ class ExperimentConfig:
     def n_steps(self) -> int:
         # guard against 294999-style float representation of horizon/dt
         return int(math.floor(self.horizon / self.dt + 1e-9))
+
+    def sampler_values(self, batch: tuple[int, ...]) -> int:
+        """Float64 values in the larger of the recorded series ((n_steps + 1)
+        x cells, or x d for simulate's trajectory) and the noise chunk of one
+        ``simulate_cells`` call over the delta groups ``batch``."""
+        cells, dims = len(batch) * len(self.seeds), len(self.initial)
+        substeps = self.substeps_at(self.deltas[batch[0]])
+        return max((self.n_steps + 1) * max(cells, dims),
+                   cells * max(substeps, NOISE_CHUNK) * dims)
+
+    def lockstep_batches(self) -> list[tuple[int, ...]]:
+        """The delta indices of each ``simulate_cells`` call, in order.
+        Consecutive delta groups share one lockstep call while they take equal
+        substeps, the call holds at most LOCKSTEP_CELLS cells and its
+        ``sampler_values`` fit in MAX_SAMPLER_VALUES; any other group runs
+        alone."""
+        substeps = [self.substeps_at(delta) for delta in self.deltas]
+        batches = [(0,)]
+        for i in range(1, len(self.deltas)):
+            merged = batches[-1] + (i,)
+            if (substeps[i] == substeps[merged[0]]
+                    and len(merged) * len(self.seeds) <= LOCKSTEP_CELLS
+                    and self.sampler_values(merged) <= MAX_SAMPLER_VALUES):
+                batches[-1] = merged
+            else:
+                batches.append((i,))
+        return batches
 
     def drift(self, potential, delta: float):
         """The drift at strength ``delta``; delta = 0 is exactly reversible
@@ -426,36 +461,47 @@ class SpectralConfig:
 # experiment execution
 
 
-def _delta_group_rows(config: ExperimentConfig,
-                      delta_index: int) -> tuple[list[dict], dict]:
-    """Simulate every seed of one delta in lockstep and build result rows.
+def _batch_rows(config: ExperimentConfig,
+                delta_indices: tuple[int, ...]) -> tuple[list[dict], dict]:
+    """Simulate every seed of the delta groups ``delta_indices`` (one
+    ``lockstep_batches`` entry) in one lockstep call and build result rows.
 
-    One row per (seed, checkpoint).  Cell (delta, seed) owns the RNG stream
-    splitmix64(delta_index, seed_index), so results do not depend on how
-    groups are scheduled across workers.  Also returns the group's
-    ``sampler_timing`` entry: the wall and CPU seconds of its
-    ``simulate_cells`` call and the cell-substeps per second.
+    One row per (delta, seed, checkpoint), in that order.  Cell (delta, seed)
+    owns the RNG stream splitmix64(delta_index, seed_index), so results do
+    not depend on how groups are batched or scheduled across workers.  A
+    blow-up names its delta and its cell within that delta's group; when
+    several groups diverge, the earliest step across the batch is reported.
+    Also returns the batch's ``sampler_timing`` entry: its deltas and cells,
+    the wall and CPU seconds of its ``simulate_cells`` call and the
+    cell-substeps per second.
     """
-    delta, cells = config.deltas[delta_index], len(config.seeds)
+    seeds, deltas = config.seeds, [config.deltas[i] for i in delta_indices]
     potential = config.build_potential()
-    n_steps, substeps = config.n_steps, config.substeps_at(delta)
-    streams = [NormalStream(seed, splitmix64(delta_index, j))
-               for j, seed in enumerate(config.seeds)]
+    n_steps, substeps = config.n_steps, config.substeps_at(deltas[0])
+    drifts = []
+    for delta in deltas:
+        drifts += [config.drift(potential, delta)] * len(seeds)
+    streams = [NormalStream(seed, splitmix64(i, j))
+               for i in delta_indices for j, seed in enumerate(seeds)]
+    cells = len(drifts)
     start, cpu = time.perf_counter(), time.process_time()
     try:
         series = simulate_cells(
-            potential, [config.drift(potential, delta)] * cells, config.diffusion,
-            config.dt, n_steps, [config.initial] * cells, streams,
+            potential, drifts, config.diffusion, config.dt, n_steps,
+            [config.initial] * cells, streams,
             observable=get_observable(config.observable).fn, substeps=substeps)
     except PropagationError as exc:
-        raise PropagationError(f"delta {delta}: {exc}", exc.step_index) from None
+        group, cell = divmod(exc.cell_index, len(seeds))
+        raise non_finite_error(exc.step_index, config.dt, cell,
+                               f"delta {deltas[group]}: ") from None
     wall = time.perf_counter() - start
-    timing = {"delta": delta, "wall_s": wall, "cpu_s": time.process_time() - cpu,
+    timing = {"deltas": deltas, "cells": cells, "wall_s": wall,
+              "cpu_s": time.process_time() - cpu,
               "cell_substeps_per_s": cells * n_steps * substeps / wall}
     rows = []
-    for j, seed in enumerate(config.seeds):
+    for values, (delta, seed) in zip(series, [(d, s) for d in deltas for s in seeds]):
         for t in config.checkpoints:
-            window = series[j][: round(t / config.dt) + 1]
+            window = values[: round(t / config.dt) + 1]
             m = config.batches_at(t)
             report = batch_means(window, m, config.alpha, config.dt, config.burn_in)
             rows.append({
@@ -480,17 +526,19 @@ def _delta_group_rows(config: ExperimentConfig,
 def run_experiment(config: ExperimentConfig,
                    threads: int = 1) -> tuple[list[dict], list[dict]]:
     """Rows for the full (delta, seed, checkpoint) grid, in deterministic
-    cell order regardless of scheduling, and the ``sampler_timing`` entry of
-    each delta group.  The pool never has more workers than delta groups."""
+    cell order regardless of batching and scheduling, and the
+    ``sampler_timing`` entry of each lockstep batch (``lockstep_batches``).
+    The batches run in a pool of at most ``threads`` workers and never more
+    workers than batches; one batch starts no pool."""
     _check(threads >= 1, f"--threads must be >= 1, got {threads}")
-    indices = range(len(config.deltas))
-    if threads > 1 and len(config.deltas) > 1:
-        workers = min(threads, len(config.deltas))
+    batches = config.lockstep_batches()
+    if threads > 1 and len(batches) > 1:
+        workers = min(threads, len(batches))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_delta_group_rows, [config] * len(indices), indices))
+            results = list(pool.map(_batch_rows, [config] * len(batches), batches))
     else:
-        groups = [_delta_group_rows(config, i) for i in indices]
-    return [row for rows, _ in groups for row in rows], [timing for _, timing in groups]
+        results = [_batch_rows(config, batch) for batch in batches]
+    return [row for rows, _ in results for row in rows], [timing for _, timing in results]
 
 
 def _format_value(value) -> str:
@@ -778,7 +826,8 @@ FLAGS = {
     "--out": dict(default="out", help="output directory"),
     "--config": dict(help="path to a JSON config document"),
     "--seeds": dict(help="comma-separated seed list override"),
-    "--threads": dict(type=int, default=1, help="parallel workers over delta groups"),
+    "--threads": dict(type=int, default=1,
+                      help="parallel workers over lockstep batches of delta groups"),
     "--save-path": dict(help="trajectory file destination"),
     "--table": dict(type=int, required=True, choices=sorted(TABLE_SPECS)),
     "--scale": dict(type=float, default=1.0, help="horizon rescaling factor"),

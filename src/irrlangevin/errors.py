@@ -20,13 +20,16 @@ class ConfigError(ValueError):
 class PropagationError(ArithmeticError):
     """A simulated state became non-finite.
 
-    Carries ``step_index`` so blow-ups (usually dt too large for the drift
-    stiffness at high irreversibility strength) can be located.
+    Carries ``step_index`` and ``cell_index`` so blow-ups (usually dt too
+    large for the drift stiffness at high irreversibility strength) can be
+    located.
     """
 
-    def __init__(self, message: str, step_index: int | None = None):
+    def __init__(self, message: str, step_index: int | None = None,
+                 cell_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+        self.cell_index = cell_index
 
 
 class SolverError(RuntimeError):

@@ -13,9 +13,10 @@ at once, scaled as they are stored, and one update rule, ``_em_path``, runs
 the whole chunk in place: each update overwrites the increment row it
 consumed with the state it produces.  The chunk is then recorded at once:
 its recorded states are every ``substeps``-th row, the observable is called
-once on that (steps, cells, d) block, and a blow-up's first non-finite step
-and cell are read from the same rows.  So an observable must be vectorised
-over leading axes, as every ``OBSERVABLES`` entry is.
+on (steps, cells, d) blocks of them, at most OBSERVABLE_ROWS steps each, and
+a blow-up's first non-finite step and cell are read from the same rows.  So
+an observable must be vectorised over leading axes, as every ``OBSERVABLES``
+entry is.
 
 Each substep of size h is one Euler-Maruyama step of the reversible part
 followed by the flow Phi of the rotational part (a Lie split):
@@ -57,6 +58,20 @@ FLOW_THETA = 0.1
 #: Nominal integration steps per noise chunk of ``simulate_cells``: a chunk
 #: holds cells x max(substeps, NOISE_CHUNK) x d normals at most.
 NOISE_CHUNK = 8192
+
+#: Most recorded steps the observable sees in one call, so the temporaries it
+#: builds stay a fraction of the noise chunk.
+OBSERVABLE_ROWS = 1024
+
+
+def non_finite_error(step_index: int, dt: float, cell_index: int,
+                     where: str = "") -> PropagationError:
+    """The error of a trajectory first non-finite at recorded step
+    ``step_index`` in cell ``cell_index``; ``where`` prefixes the message."""
+    return PropagationError(
+        f"{where}trajectory became non-finite at step {step_index} (t = "
+        f"{step_index * dt:g}) in cell {cell_index}; dt is likely too large for the "
+        f"drift stiffness", step_index=step_index, cell_index=cell_index)
 
 
 def _check_step(diffusion: float, dt: float, substeps: int) -> None:
@@ -159,7 +174,8 @@ def simulate_cells(
     the full state history ``(n_cells, n_steps + 1, d)`` at the recording
     grid 0, dt, 2 dt, ..., or, when ``observable`` is given, the series
     ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states; f is
-    called once per noise chunk, on its (steps, n_cells, d) block of states.
+    called on (steps, n_cells, d) blocks of at most OBSERVABLE_ROWS recorded
+    steps.  A blow-up raises ``non_finite_error``.
 
     With ``substeps`` > 1 each recorded step is integrated as ``substeps``
     split updates of size dt/substeps (see ``_em_path``), consuming
@@ -202,18 +218,17 @@ def simulate_cells(
                             scale, out=noise[:, i])
             _em_path(states, *rule, noise)
             recorded = noise[substeps - 1::substeps]
-            out[:, step + 1:step + m + 1] = record(recorded).swapaxes(0, 1)
+            for b in range(0, m, OBSERVABLE_ROWS):
+                block, first = recorded[b:b + OBSERVABLE_ROWS], step + b + 1
+                out[:, first:first + len(block)] = record(block).swapaxes(0, 1)
             if not np.all(np.isfinite(noise[-1])):
                 # a non-finite coordinate stays non-finite under the update,
                 # so the first non-finite recorded state marks the blow-up
                 k, i = np.argwhere(~np.isfinite(recorded).all(axis=-1))[0]
-                j = step + 1 + int(k)
-                raise PropagationError(
-                    f"trajectory became non-finite at step {j} (t = {j * dt:g}) in cell "
-                    f"{i}; dt is likely too large for the drift stiffness", step_index=j)
+                raise non_finite_error(step + 1 + int(k), dt, int(i))
             # a copy, so the chunk is freed before the next one is drawn
             states = noise[-1].copy()
-            del noise, recorded
+            del noise, recorded, block
             step += m
     return out
 

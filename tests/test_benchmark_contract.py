@@ -84,8 +84,11 @@ def test_probe_and_tracing_install_and_restore():
     assert cli.simulate_cells is sampler.simulate_cells
 
 
-def test_probe_records_one_group_per_delta_of_an_estimate_run(tmp_path):
-    doc = {"potential": "quadratic", "drift": {"kind": "rotational", "deltas": [0.0, 100.0]},
+def probed_estimate(tmp_path, deltas):
+    """Run ``estimate`` on quadratic U with 2 seeds and 500 steps under a
+    Probe and the full tracing; return the probe, the recorder and the
+    manifest."""
+    doc = {"potential": "quadratic", "drift": {"kind": "rotational", "deltas": deltas},
            "diffusion": 0.1, "dt": 1e-3, "horizon": 0.5, "burn_in": 0.1,
            "seeds": [1, 2]}
     cfg = tmp_path / "config.json"
@@ -96,20 +99,42 @@ def test_probe_records_one_group_per_delta_of_an_estimate_run(tmp_path):
     finally:
         tracing.restore()
         probe.restore()
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    return probe, recorder, json.loads((tmp_path / "manifest.json").read_text())
+
+
+def test_probe_records_one_group_per_delta_of_an_estimate_run(tmp_path):
+    # quadratic U carries a rotation flow, so delta 200 at dt 1e-3 takes 2
+    # substeps and runs in a simulate_cells call of its own
+    probe, recorder, manifest = probed_estimate(tmp_path, [0.0, 200.0])
     assert [(g["delta"], g["substeps"]) for g in probe.groups] == [
         (entry["delta"], entry["substeps"]) for entry in manifest["substeps"]]
-    # quadratic U carries a rotation flow, so delta 100 at dt 1e-3 takes 1 substep
-    assert [g["substeps"] for g in probe.groups] == [1, 1]
+    assert [g["substeps"] for g in probe.groups] == [1, 2]
     assert all(g["cells"] == 2 and g["steps"] == 500 for g in probe.groups)
     metrics = spans.layer_metrics(recorder, recorder.run_id, probe.groups)
     assert metrics["sampler.calls"] == 2
-    assert metrics["sampler.cell_substeps"] == 2 * 500 * (1 + 1)
-    assert metrics["rng.normals"] == 2 * 2 * 500 * (1 + 1)
-    assert metrics["potentials.grad_calls"] == 500 * (1 + 1)
+    assert metrics["sampler.cell_substeps"] == 2 * 500 * (1 + 2)
+    assert metrics["rng.normals"] == 2 * 2 * 500 * (1 + 2)
+    assert metrics["potentials.grad_calls"] == 500 * (1 + 2)
     assert metrics["estimators.batch_means_calls"] == 4
     assert metrics["estimators.autocov_calls"] == 4
     assert metrics["estimators.observable_calls"] > 0
+    assert metrics["cli.rows_written"] == 4
+
+
+def test_probe_records_a_merged_call_as_one_group_of_its_first_delta(tmp_path):
+    # deltas 0 and 100 both take 1 substep, so they share one lockstep call;
+    # the probe keys a call by its first drift
+    probe, recorder, manifest = probed_estimate(tmp_path, [0.0, 100.0])
+    assert [entry["deltas"] for entry in manifest["sampler_timing"]] == [[0.0, 100.0]]
+    assert probe.groups == [{"delta": 0.0, "cells": 2 * 2, "steps": 500, "substeps": 1,
+                             "cpu_s": probe.groups[0]["cpu_s"],
+                             "wall_s": probe.groups[0]["wall_s"]}]
+    metrics = spans.layer_metrics(recorder, recorder.run_id, probe.groups)
+    assert metrics["sampler.calls"] == 1
+    assert metrics["sampler.cell_substeps"] == 2 * 2 * 500
+    assert (metrics["sampler.substeps.d0"], metrics["sampler.substeps.d100"]) == (1, 0)
+    assert metrics["rng.normals"] == 2 * 2 * 2 * 500
+    assert metrics["potentials.grad_calls"] == 500
     assert metrics["cli.rows_written"] == 4
 
 

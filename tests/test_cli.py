@@ -126,6 +126,19 @@ def test_blowup_names_its_delta_and_cell(tmp_path, capsys):
                      r"step \d+ \(t = [^)]+\) in cell [0-2];", capsys.readouterr().err)
 
 
+def test_blowup_in_a_merged_batch_names_its_delta_and_cell(tmp_path, capsys):
+    # bimodal2 keeps the rotation in its Euler step, which delta 300 at one
+    # substep of 1e-3 overflows; delta 0 runs in the same lockstep call
+    doc = ou_config(potential="bimodal2", drift={"deltas": [0.0, 300.0]}, substeps=1,
+                    horizon=1.0, burn_in=0.1, seeds=[1, 2])
+    assert ExperimentConfig.from_dict(doc).lockstep_batches() == [(0, 1)]
+    cfg = write_config(tmp_path, doc)
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: delta 300.0: trajectory became non-finite at step 11 "
+        "(t = 0.011) in cell 0; dt is likely too large for the drift stiffness\n")
+
+
 def test_simulate_writes_trajectory(tmp_path):
     doc = ou_config(horizon=1.0, burn_in=0.1, seeds=[3])
     cfg = write_config(tmp_path, doc)
@@ -329,11 +342,13 @@ def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):
 
 
 def fake_simulate_cells(ran):
-    """A ``simulate_cells`` stand-in that records (delta, substeps) in ``ran``."""
+    """A ``simulate_cells`` stand-in that records each call's (deltas,
+    substeps) in ``ran``: the distinct deltas of its cells, in cell order."""
 
     def simulate_cells(potential, drifts, diffusion, dt, n_steps, *args, substeps,
                        observable=None, **kwargs):
-        ran.append((0.0 if drifts[0] is None else drifts[0].delta, substeps))
+        deltas = (0.0 if drift is None else drift.delta for drift in drifts)
+        ran.append((tuple(dict.fromkeys(deltas)), substeps))
         shape = (len(drifts), n_steps + 1) + ((potential.dimension,) if observable is None
                                               else ())
         return np.random.default_rng(0).standard_normal(shape)
@@ -365,7 +380,8 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
                                      "rotation": "flow"} for d, n in expected]
     if argv[0] == "simulate":
         assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 1
-    assert ran == expected
+    # one seed and one substep count: every delta group runs in one lockstep call
+    assert ran == [(tuple(delta for delta, _ in expected), 1)]
 
 
 def test_manifest_records_the_euler_rule_of_a_potential_without_a_flow(tmp_path,
@@ -381,7 +397,8 @@ def test_manifest_records_the_euler_rule_of_a_potential_without_a_flow(tmp_path,
     assert manifest["substeps"] == [
         {"delta": 0.0, "substeps": 1, "h": 1e-3, "rotation": "euler"},
         {"delta": 100.0, "substeps": 40, "h": 1e-3 / 40, "rotation": "euler"}]
-    assert ran == [(0.0, 1), (100.0, 40)]
+    # groups of different substeps never share a call
+    assert ran == [((0.0,), 1), ((100.0,), 40)]
 
 
 @pytest.mark.parametrize("potential, drift, dt", [
@@ -403,22 +420,27 @@ def test_automatic_substeps_follow_delta_only_for_a_rotational_drift(
 
 
 @pytest.mark.parametrize("argv, deltas", [
-    (["estimate"], [0.0, 10.0]),
-    (["sweep"], [0.0, 10.0]),
+    (["estimate"], [[0.0, 10.0]]),
+    (["sweep"], [[0.0, 10.0]]),
     (["reproduce-table", "--table", "1", "--scale", "0.02", "--seeds", "1"],
-     [0.0, 10.0, 100.0]),
+     [[0.0, 10.0, 100.0]]),
+    # on quadratic delta 200 takes 2 substeps, so it runs in a call of its own
+    (["estimate"], [[0.0], [200.0]]),
 ])
 def test_manifest_records_the_sampler_cost_of_each_delta(tmp_path, argv, deltas):
-    cfg = write_config(tmp_path, ou_config(drift={"deltas": deltas}, horizon=0.05,
-                                           burn_in=0.01, seeds=[1, 2]))
+    # ``deltas`` lists the deltas of each lockstep batch
+    cfg = write_config(tmp_path, ou_config(drift={"deltas": sum(deltas, [])},
+                                           horizon=0.05, burn_in=0.01, seeds=[1, 2]))
     out = tmp_path / "out"
+    seeds = 1 if argv[0] == "reproduce-table" else 2
     if argv[0] != "reproduce-table":
         argv = argv + ["--config", cfg]
     assert main(argv + ["--out", str(out)]) == 0
     timing = json.loads((out / "manifest.json").read_text())["sampler_timing"]
-    assert [entry["delta"] for entry in timing] == deltas
-    for entry in timing:
-        assert set(entry) == {"delta", "wall_s", "cpu_s", "cell_substeps_per_s"}
+    assert [entry["deltas"] for entry in timing] == deltas
+    for entry, batch in zip(timing, deltas):
+        assert set(entry) == {"deltas", "cells", "wall_s", "cpu_s", "cell_substeps_per_s"}
+        assert entry["cells"] == seeds * len(batch)
         assert entry["wall_s"] > 0 and entry["cell_substeps_per_s"] > 0
         assert entry["cpu_s"] >= 0
 
@@ -623,7 +645,7 @@ def test_wedge_drift_kind_is_rejected(tmp_path, solvers):
     assert solvers == []
 
 
-def test_thread_pool_never_exceeds_delta_groups(tmp_path, monkeypatch):
+def test_thread_pool_never_exceeds_lockstep_batches(tmp_path, monkeypatch):
     sizes = []
 
     class RecordingPool:
@@ -640,13 +662,91 @@ def test_thread_pool_never_exceeds_delta_groups(tmp_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    doc = ou_config(drift={"kind": "rotational", "deltas": [0.0, 1.0]},
+    # delta 200 takes 2 substeps on quadratic, delta 0 one: two batches
+    doc = ou_config(drift={"kind": "rotational", "deltas": [0.0, 200.0]},
                     horizon=3.0, burn_in=1.0, seeds=[1])
     cfg, out = write_config(tmp_path, doc), str(tmp_path / "o")
     assert main(["estimate", "--config", cfg, "--out", out, "--threads", "5000"]) == 0
     assert sizes == [2]
     assert main(["estimate", "--config", cfg, "--out", out, "--threads", "0"]) == 2
     assert sizes == [2]
+    # deltas 0 and 1 share one batch, which runs without a pool
+    merged = write_config(tmp_path, {**doc, "drift": {"deltas": [0.0, 1.0]}}, "merged.json")
+    assert main(["estimate", "--config", merged, "--out", out, "--threads", "5000"]) == 0
+    assert sizes == [2]
+
+
+def test_wide_delta_groups_run_one_call_each():
+    # 200 seeds per group exceed LOCKSTEP_CELLS, as in the ensemble benchmark
+    config = ExperimentConfig.from_dict(ou_config(
+        drift={"deltas": [0.0, 10.0]}, horizon=1.0, burn_in=0.1, seeds=list(range(200))))
+    assert config.lockstep_batches() == [(0,), (1,)]
+    # two groups fill one batch of LOCKSTEP_CELLS cells, the third starts the next
+    config = ExperimentConfig.from_dict(ou_config(
+        drift={"deltas": [0.0, 1.0, 2.0]}, horizon=1.0, burn_in=0.1,
+        seeds=list(range(cli.LOCKSTEP_CELLS // 2))))
+    assert config.lockstep_batches() == [(0, 1), (2,)]
+
+
+@pytest.mark.parametrize("potential, deltas, batches", [
+    ("quadratic", [0.0, 200.0, 200.0, 0.0], [(0,), (1, 2), (3,)]),
+    ("bimodal2", [0.0, 10.0, 100.0, 10.0], [(0, 1), (2,), (3,)]),
+])
+def test_groups_of_different_substeps_never_share_a_batch(potential, deltas, batches):
+    config = ExperimentConfig.from_dict(ou_config(
+        potential=potential, drift={"deltas": deltas}, horizon=1.0, burn_in=0.1))
+    assert config.lockstep_batches() == batches
+    for batch in batches:
+        assert len({config.substeps_at(deltas[i]) for i in batch}) == 1
+
+
+def test_groups_that_fit_the_value_bound_only_apart_run_apart(tmp_path, monkeypatch):
+    # each group's noise chunk, 2 seeds x 8192 steps x 2 coordinates, fits the
+    # bound; two groups in one call would not
+    doc = ou_config(drift={"deltas": [0.0, 1.0]}, horizon=0.05, burn_in=0.01, seeds=[1, 2])
+    assert ExperimentConfig.from_dict(doc).lockstep_batches() == [(0, 1)]
+    monkeypatch.setattr(cli, "MAX_SAMPLER_VALUES", 2 * 8192 * 2)
+    assert ExperimentConfig.from_dict(doc).lockstep_batches() == [(0,), (1,)]
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    timing = json.loads((out / "manifest.json").read_text())["sampler_timing"]
+    assert [entry["deltas"] for entry in timing] == [[0.0], [1.0]]
+
+
+def one_call_per_delta(config):
+    """The CSV fields of ``config``'s rows when every delta group runs in a
+    ``simulate_cells`` call of its own."""
+    rows = [row for i in range(len(config.deltas))
+            for row in cli._batch_rows(config, (i,))[0]]
+    return [[cli._format_value(row[c]) for c in RESULT_COLUMNS] for row in rows]
+
+
+@pytest.mark.parametrize("deltas", [[0.0, 10.0], [0.0, 10.0, 100.0]])
+@pytest.mark.parametrize("potential", ["bimodal1", "bimodal2", "torus-cosine"])
+def test_lockstep_batches_give_the_rows_of_one_call_per_delta(potential, deltas):
+    # bimodal1 and torus-cosine take the rotation flow, bimodal2 the Euler
+    # rule; per-cell drifts of a merged call change no bit of either
+    config = ExperimentConfig.from_dict(ou_config(
+        potential=potential, drift={"deltas": deltas}, horizon=2.0, burn_in=0.5,
+        checkpoints=[1.0, 2.0], batches=2))
+    assert len(config.lockstep_batches()) < len(deltas)
+    rows, _ = run_experiment(config)
+    assert [[cli._format_value(row[c]) for c in RESULT_COLUMNS]
+            for row in rows] == one_call_per_delta(config)
+
+
+def test_threads_give_the_rows_of_one_process(tmp_path):
+    # two batches: deltas 0 and 10 share one call, delta 200 takes 2 substeps
+    doc = ou_config(drift={"deltas": [0.0, 10.0, 200.0]}, horizon=1.0, burn_in=0.1,
+                    seeds=[1, 2])
+    assert ExperimentConfig.from_dict(doc).lockstep_batches() == [(0, 1), (2,)]
+    cfg = write_config(tmp_path, doc)
+    for threads in ("1", "2"):
+        assert main(["estimate", "--config", cfg, "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    assert ((tmp_path / "1" / "results.csv").read_bytes()
+            == (tmp_path / "2" / "results.csv").read_bytes())
 
 
 # A fuzzed document is a valid config with up to three of its keys, nested

@@ -15,6 +15,7 @@ from irrlangevin.potentials import get_potential
 from irrlangevin.rng import NORMAL_ALGORITHM, NormalStream
 from irrlangevin.sampler import (
     NOISE_CHUNK,
+    OBSERVABLE_ROWS,
     _affine_drift,
     load_trajectory,
     save_trajectory,
@@ -198,6 +199,32 @@ def test_one_noise_chunk_is_alive_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 1.5 * chunk * cells * 2 * 8
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_observable_sees_at_most_observable_rows_steps_per_call(substeps):
+    # a chunk of 5000 recorded steps reaches the observable in blocks, so its
+    # temporaries stay a fraction of the chunk; each row reduces on its own,
+    # so the series equals the observable of the recorded states
+    sumsq = OBSERVABLES["sumsq"].fn
+    shapes = []
+
+    def spy(z):
+        shapes.append(z.shape)
+        return sumsq(z)
+
+    n_steps, cells = 5000, 3
+    args = (QUAD, [make_rotational_drift(QUAD, 2.0)] * cells, 0.1, 1e-3, n_steps,
+            [(1.0, 1.0)] * cells)
+    series = simulate_cells(*args, [NormalStream(4, i) for i in range(cells)],
+                            observable=spy, substeps=substeps, chunk_size=5000 * substeps)
+    states = simulate_cells(*args, [NormalStream(4, i) for i in range(cells)],
+                            substeps=substeps, chunk_size=5000 * substeps)
+    # the initial states come as one (cells, d) block, then the recorded steps
+    assert shapes[0] == (cells, 2)
+    rows = [shape[0] for shape in shapes[1:]]
+    assert max(rows) == OBSERVABLE_ROWS and sum(rows) == n_steps
+    np.testing.assert_array_equal(series, sumsq(states))
 
 
 @pytest.mark.parametrize("delta", [None, 3.7])
