@@ -10,7 +10,9 @@ ratefn          rate-functional report for a grid density
 spectral        circle diagnostics: sigma^2 tables and rate curves
 
 All outputs are deterministic functions of (config, seeds): repeated runs
-produce byte-identical data files; only the manifest carries a timestamp.
+produce byte-identical data files; only the manifest carries a timestamp and
+wall times.  A rerun replaces each regular output file with a new file
+(``sampler.open_output``).
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 
@@ -23,7 +25,6 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,8 @@ from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
 from .sampler import (
-    NOISE_CHUNK, non_finite_error, save_trajectory, simulate_cells, stable_substeps,
+    NOISE_CHUNK, non_finite_error, open_output, save_trajectory, simulate_cells,
+    stable_substeps,
 )
 from .spectral import (
     FourierObservable, check_levels, fourier_sigma2, observable_rate, rate_curvature,
@@ -547,29 +549,44 @@ def _format_value(value) -> str:
     return "" if value is None else str(value)
 
 
-@contextmanager
-def _writing(path):
-    """Report an OSError from writing ``path`` as a ConfigError (exit 2)."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+class _Writing:
+    """``with _Writing(path) as w:`` times writing ``path``, closing included
+    (``w.seconds``, set on exit), and reports an OSError from it as a
+    ConfigError (exit 2)."""
+
+    def __init__(self, path):
+        self.path, self.seconds = path, 0.0
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        self.seconds = time.perf_counter() - self._start
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
 
 
-def write_csv(path: Path, columns, rows) -> None:
-    with _writing(path), open(path, "w", newline="") as fh:
+def write_csv(path: Path, columns, rows) -> float:
+    """Write ``rows`` under the header ``columns``; return the wall seconds."""
+    with _Writing(path) as writing, open_output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_value(row[c]) for c in columns])
+    return writing.seconds
 
 
-def write_json(path: Path, doc: dict) -> None:
-    with _writing(path):
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def write_json(path: Path, doc: dict) -> float:
+    """Write ``doc`` as sorted, indented JSON; return the wall seconds."""
+    with _Writing(path) as writing, open_output(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return writing.seconds
 
 
 def write_manifest(path: Path, config_doc: dict, extra: dict | None = None) -> None:
+    """``extra`` holds the command's own keys, ``write_s`` (the wall seconds
+    spent writing its data files) among them."""
     write_json(path, {"version": __version__, "rng": NORMAL_ALGORITHM,
                       "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
                       "config": config_doc, **(extra or {})})
@@ -706,7 +723,7 @@ def cmd_simulate(args) -> int:
         drift_echo = {"kind": config.drift_kind, "delta": drift.delta}
         if config.drift_kind == "constant":
             drift_echo["vector"] = list(map(float, drift.vector))
-    with _writing(path):
+    with _Writing(path) as writing:
         save_trajectory(states, {
             "potential": {"name": potential.name, "params": potential.params},
             "drift": drift_echo, "diffusion": config.diffusion, "dt": config.dt,
@@ -714,7 +731,8 @@ def cmd_simulate(args) -> int:
             "stream_id": 0, "substeps": substeps,
         }, path)
     write_manifest(out / "manifest.json", config.to_dict(),
-                   {"trajectory": str(path), "substeps": config.substeps_by_delta()})
+                   {"trajectory": str(path), "substeps": config.substeps_by_delta(),
+                    "write_s": writing.seconds})
     print(f"wrote {path} ({len(states)} states)")
     return 0
 
@@ -730,10 +748,10 @@ def cmd_estimate(args) -> int:
     if args.command == "sweep":
         name, columns = "sweep.csv", SWEEP_COLUMNS
         rows = sorted(rows, key=lambda r: (r["delta"], r["seed"], r["t"]))
-    write_csv(out / name, columns, rows)
+    write_s = write_csv(out / name, columns, rows)
     write_manifest(out / "manifest.json", config.to_dict(),
                    {"threads": args.threads, "substeps": config.substeps_by_delta(),
-                    "sampler_timing": sampler_timing})
+                    "sampler_timing": sampler_timing, "write_s": write_s})
     print(f"wrote {out / name} ({len(rows)} rows)")
     return 0
 
@@ -743,16 +761,16 @@ def cmd_reproduce_table(args) -> int:
     out = _out_dir(args)
     comparison, rows = reproduce_table(args.table, scale=args.scale,
                                        seeds=seeds, threads=args.threads)
-    write_csv(out / "results.csv", RESULT_COLUMNS, rows)
+    write_s = write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     table_rows = [{"table": args.table, "delta": delta, "t": t, **asdict(cell)}
                   for (delta, t), cell in sorted(comparison.cells.items())]
     columns = list(table_rows[0])
-    write_csv(out / f"table{args.table}_comparison.csv", columns, table_rows)
+    write_s += write_csv(out / f"table{args.table}_comparison.csv", columns, table_rows)
     write_manifest(out / "manifest.json",
                    {"table": args.table, "scale": args.scale, "seeds": list(seeds)},
                    {"threads": args.threads,
                     "substeps": comparison.config.substeps_by_delta(),
-                    "sampler_timing": comparison.sampler_timing})
+                    "sampler_timing": comparison.sampler_timing, "write_s": write_s})
     status = "PASS" if comparison.all_pass else "FAIL"
     print(f"table {args.table} ratio checks: {status}")
     return 0
@@ -775,9 +793,9 @@ def cmd_ratefn(args) -> int:
         "quadratic_residual": report.quadratic_residual,
         "lemma_value": report.lemma_value, "lemma_mismatch": report.lemma_mismatch,
     }
-    write_json(out / "rate_report.json", report_doc)
+    write_s = write_json(out / "rate_report.json", report_doc)
     columns = ["potential", "delta", "D", "grid", "I0", "J_C", "I_C", "K"]
-    write_csv(out / "rate_summary.csv", columns, [{
+    write_s += write_csv(out / "rate_summary.csv", columns, [{
         **report_doc, "potential": config.potential.name, "delta": config.drift.delta,
         "D": config.diffusion, "grid": config.density.size,
     }])
@@ -786,7 +804,8 @@ def cmd_ratefn(args) -> int:
     if config.quadratic:
         solves["quadratic"] = {"iterations": report.quadratic_iterations,
                                "residual_rel": report.quadratic_residual}
-    write_manifest(out / "manifest.json", doc, {"gauge_solves": solves, "wall_s": wall_s})
+    write_manifest(out / "manifest.json", doc,
+                   {"gauge_solves": solves, "wall_s": wall_s, "write_s": write_s})
     print(f"wrote {out / 'rate_report.json'}")
     return 0
 
@@ -808,11 +827,12 @@ def cmd_spectral(args) -> int:
             curve_rows += [{"delta": delta, "D": config.diffusion,
                             "ell": float(ell), "rate": float(rate)}
                            for ell, rate in zip(curve.ells, curve.rates)]
-    write_csv(out / "sigma2.csv",
-              ["delta", "D", "sigma2_fourier", "sigma2_curvature"], sigma_rows)
+    write_s = write_csv(out / "sigma2.csv",
+                        ["delta", "D", "sigma2_fourier", "sigma2_curvature"], sigma_rows)
     if curve_rows:
-        write_csv(out / "rate_curve.csv", ["delta", "D", "ell", "rate"], curve_rows)
-    write_manifest(out / "manifest.json", asdict(config))
+        write_s += write_csv(out / "rate_curve.csv", ["delta", "D", "ell", "rate"],
+                             curve_rows)
+    write_manifest(out / "manifest.json", asdict(config), {"write_s": write_s})
     print(f"wrote {out / 'sigma2.csv'}")
     return 0
 

@@ -39,6 +39,8 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -249,6 +251,26 @@ def stable_substeps(delta: float, dt: float, split: bool) -> int:
     return max(1, math.ceil(x))
 
 
+def open_output(path, mode: str = "w", **kwargs):
+    """Open ``path`` for writing as a new file; every output file of the
+    package is opened here.
+
+    An existing regular file is unlinked first, so the write creates a new
+    file instead of truncating the old one: on ext4, closing a truncated
+    file waits for its writeback (``auto_da_alloc``), about 40 ms per file,
+    and renaming a temporary file over it waits the same.  Anything else (a
+    missing path, a symlink, a device, a FIFO, a directory) is opened as
+    given, so a symlink is written through and a device is never removed.
+    ``mode`` and ``kwargs`` go to ``open``."""
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:  # missing, or not reachable: let open report it
+        regular = False
+    if regular:
+        os.unlink(path)
+    return open(path, mode, **kwargs)
+
+
 def save_trajectory(states, config: dict, path) -> None:
     """Write header (one JSON line) followed by raw little-endian float64
     rows, one row per time step.  ``config`` is the run's echo; it must hold
@@ -259,7 +281,7 @@ def save_trajectory(states, config: dict, path) -> None:
         "rng": NORMAL_ALGORITHM,
         "config": config,
     }
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         fh.write(np.ascontiguousarray(states, dtype="<f8").tobytes())
 

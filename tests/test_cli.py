@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -329,6 +330,9 @@ def test_output_write_failure_exits_2_without_a_traceback(case, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {target}: ")
     assert "Traceback" not in err
+    # neither target was removed: only a regular file is replaced by a new one
+    mode = os.lstat(target).st_mode
+    assert stat.S_ISCHR(mode) if case == "simulate_to_a_full_device" else stat.S_ISDIR(mode)
 
 
 def test_spectral_manifest_echoes_resolved_config(tmp_path, monkeypatch):
