@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import math
@@ -216,13 +217,14 @@ def build_drift(kind: str, potential, delta: float, vector=None):
 class ExperimentConfig:
     """Sampling experiment (simulate, estimate, sweep, reproduce-table): the
     one sampling config, whose fields go straight into ``simulate_cells``.
-    Construction checks that every name resolves and every drift builds, that
-    the diffusion is finite and nonnegative, that substeps is at least 1, that
-    the horizon holds one step and that ``initial`` (default: the origin) has
-    the potential's dimension.  It sets ``checkpoints`` (default: the
-    horizon), and checks that each checkpoint has 2 samples per batch and
-    that each lockstep batch's recorded series and noise chunk fit in
-    MAX_SAMPLER_VALUES (see ``sampler_values``)."""
+    Construction checks that no delta or seed is repeated, that every name
+    resolves and every drift builds, that the diffusion is finite and
+    nonnegative, that substeps is at least 1, that the horizon holds one step
+    and that ``initial`` (default: the origin) has the potential's dimension.
+    It sets ``checkpoints`` (default: the horizon), and checks that each
+    checkpoint has 2 samples per batch and that each lockstep batch's
+    recorded series and noise chunk fit in MAX_SAMPLER_VALUES (see
+    ``sampler_values``)."""
 
     potential: str
     deltas: tuple[float, ...]
@@ -267,6 +269,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check(self.deltas and self.seeds, "delta and seed lists must be nonempty")
+        for name, values in (("delta", self.deltas), ("seed", self.seeds)):
+            seen = set()
+            for value in values:  # (delta, seed) is the key of a result row
+                _check(value not in seen, f"{name} {value!r} is repeated; each {name} "
+                                          f"may appear once")
+                seen.add(value)
         _check(self.dt > 0 and 0 <= self.burn_in < self.horizon,
                "need dt > 0 and 0 <= burn_in < horizon")
         _check(math.isfinite(self.horizon / self.dt), "horizon / dt is too large")
@@ -494,7 +502,7 @@ def _batch_rows(config: ExperimentConfig,
             observable=get_observable(config.observable).fn, substeps=substeps)
     except PropagationError as exc:
         group, cell = divmod(exc.cell_index, len(seeds))
-        raise non_finite_error(exc.step_index, config.dt, cell,
+        raise non_finite_error(exc.step_index, config.dt, cell, deltas[group],
                                f"delta {deltas[group]}: ") from None
     wall = time.perf_counter() - start
     timing = {"deltas": deltas, "cells": cells, "wall_s": wall,
@@ -590,6 +598,22 @@ def write_manifest(path: Path, config_doc: dict, extra: dict | None = None) -> N
     write_json(path, {"version": __version__, "rng": NORMAL_ALGORITHM,
                       "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
                       "config": config_doc, **(extra or {})})
+
+
+@contextlib.contextmanager
+def _failure_manifest(out: Path, config_doc: dict):
+    """Run the block; when it raises PropagationError, write
+    ``out/manifest.json`` with a ``failure`` entry (the cell's delta, the
+    step, the cell within its delta group and t) and re-raise, so the command
+    writes no data file and ``main`` reports the blow-up (exit 3)."""
+    try:
+        yield
+    except PropagationError as exc:
+        failure = {"delta": exc.delta, "step_index": exc.step_index,
+                   "cell_index": exc.cell_index, "t": exc.t}
+        with contextlib.suppress(ConfigError):  # the blow-up stays the reported cause
+            write_manifest(out / "manifest.json", config_doc, {"failure": failure})
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +739,10 @@ def cmd_simulate(args) -> int:
     (delta,), (seed,) = config.deltas, config.seeds
     potential = config.build_potential()
     drift, substeps = config.drift(potential, delta), config.substeps_at(delta)
-    states = simulate_cells(potential, [drift], config.diffusion, config.dt,
-                            config.n_steps, [config.initial], [NormalStream(seed)],
-                            substeps=substeps)[0]
+    with _failure_manifest(out, config.to_dict()):
+        states = simulate_cells(potential, [drift], config.diffusion, config.dt,
+                                config.n_steps, [config.initial], [NormalStream(seed)],
+                                substeps=substeps)[0]
     drift_echo = None
     if drift is not None:
         drift_echo = {"kind": config.drift_kind, "delta": drift.delta}
@@ -743,7 +768,8 @@ def cmd_estimate(args) -> int:
     to sweep.csv."""
     config = _experiment_config(args)
     out = _out_dir(args)
-    rows, sampler_timing = run_experiment(config, threads=args.threads)
+    with _failure_manifest(out, config.to_dict()):
+        rows, sampler_timing = run_experiment(config, threads=args.threads)
     name, columns = "results.csv", RESULT_COLUMNS
     if args.command == "sweep":
         name, columns = "sweep.csv", SWEEP_COLUMNS
@@ -759,15 +785,16 @@ def cmd_estimate(args) -> int:
 def cmd_reproduce_table(args) -> int:
     seeds = _seed_list(args.seeds) if args.seeds else (1, 2, 3, 4, 5)
     out = _out_dir(args)
-    comparison, rows = reproduce_table(args.table, scale=args.scale,
-                                       seeds=seeds, threads=args.threads)
+    config_doc = {"table": args.table, "scale": args.scale, "seeds": list(seeds)}
+    with _failure_manifest(out, config_doc):
+        comparison, rows = reproduce_table(args.table, scale=args.scale,
+                                           seeds=seeds, threads=args.threads)
     write_s = write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     table_rows = [{"table": args.table, "delta": delta, "t": t, **asdict(cell)}
                   for (delta, t), cell in sorted(comparison.cells.items())]
     columns = list(table_rows[0])
     write_s += write_csv(out / f"table{args.table}_comparison.csv", columns, table_rows)
-    write_manifest(out / "manifest.json",
-                   {"table": args.table, "scale": args.scale, "seeds": list(seeds)},
+    write_manifest(out / "manifest.json", config_doc,
                    {"threads": args.threads,
                     "substeps": comparison.config.substeps_by_delta(),
                     "sampler_timing": comparison.sampler_timing, "write_s": write_s})

@@ -20,16 +20,20 @@ class ConfigError(ValueError):
 class PropagationError(ArithmeticError):
     """A simulated state became non-finite.
 
-    Carries ``step_index`` and ``cell_index`` so blow-ups (usually dt too
+    Carries ``step_index``, ``cell_index``, the cell's drift strength
+    ``delta`` and the time ``t`` of the step so blow-ups (usually dt too
     large for the drift stiffness at high irreversibility strength) can be
     located.
     """
 
     def __init__(self, message: str, step_index: int | None = None,
-                 cell_index: int | None = None):
+                 cell_index: int | None = None, delta: float | None = None,
+                 t: float | None = None):
         super().__init__(message)
         self.step_index = step_index
         self.cell_index = cell_index
+        self.delta = delta
+        self.t = t
 
 
 class SolverError(RuntimeError):

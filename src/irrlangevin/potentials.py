@@ -13,7 +13,9 @@ area-preserving flow carry it as ``rotation_flow``, which the sampler's split
 step uses: ``quadratic`` (an exact rotation), ``bimodal1`` and
 ``torus-cosine`` (U is separable, so one Stormer-Verlet step is explicit) and
 ``torus-zero`` (the identity).  ``bimodal2`` and ``threewell`` are not
-separable and carry none.
+separable and carry none.  A flow advances its points in place and returns
+grad U at the advanced points, bit-equal to ``grad_fn`` there, so the
+sampler's next step needs no gradient call of its own.
 """
 
 from __future__ import annotations
@@ -45,15 +47,19 @@ def _separable_flow(du_dx, du_dy):
     du_dx = V' and du_dy = W': one Stormer-Verlet step (kick, drift, kick) of
     the Hamiltonian flow x' = W'(y), y' = -V'(x) of z' = J2 grad U(z).  Each
     stage is a shear, so the step is explicit, area-preserving and reversible:
-    the step for time -a undoes the step for time a."""
+    the step for time -a undoes the step for time a.  It moves z in place and
+    returns grad U at the moved points; the last kick already evaluates V'
+    there, so a step makes two V' calls and two W' calls."""
 
     def flow(z, a):
-        x, half = z[..., 0], 0.5 * a
-        y = z[..., 1] - half * du_dx(x)
-        out = np.empty(z.shape)
-        out[..., 0] = x + a * du_dy(y)
-        out[..., 1] = y - half * du_dx(out[..., 0])
-        return out
+        x, y, half = z[..., 0], z[..., 1], 0.5 * a
+        y -= half * du_dx(x)
+        x += a * du_dy(y)
+        g = np.empty(z.shape)
+        g[..., 0] = du_dx(x)
+        y -= half * g[..., 0]
+        g[..., 1] = du_dy(y)
+        return g
 
     return flow
 
@@ -67,15 +73,17 @@ def _rotation_matrix(a: float) -> np.ndarray:
 
 
 def _rotation(z, a):
-    """The exact flow of x' = y, y' = -x: a rotation by angle a.  A sampler
-    calls it once per substep with one float a, so that matrix is cached."""
+    """The exact flow of x' = y, y' = -x: a rotation by angle a, in place;
+    grad U = z.  A sampler calls it once per substep with one float a, so
+    that matrix is cached."""
     if isinstance(a, float):
-        return z @ _rotation_matrix(a)
-    c, s = np.cos(a), np.sin(a)
-    out = np.empty(z.shape)
-    out[..., 0] = c * z[..., 0] + s * z[..., 1]
-    out[..., 1] = c * z[..., 1] - s * z[..., 0]
-    return out
+        z[...] = z @ _rotation_matrix(a)
+    else:
+        c, s = np.cos(a), np.sin(a)
+        x = c * z[..., 0] + s * z[..., 1]
+        z[..., 1] = c * z[..., 1] - s * z[..., 0]
+        z[..., 0] = x
+    return z.copy()
 
 
 def _coefficient(value) -> float:
@@ -92,10 +100,12 @@ class PotentialField:
     ``period`` is None on unbounded domains, otherwise the per-axis period
     vector of the torus.  ``params`` echoes the builder arguments so a
     field is reconstructible from (name, params).  ``rotation_flow(z, a)``,
-    where the entry has one, maps points z to the solution at time a of
-    z' = J2 grad U(z), exactly or by one area-preserving step; a is a scalar
-    or one time per point.  Instances are immutable and safe for concurrent
-    reads.
+    where the entry has one, advances the float array z in place to the
+    solution at time a of z' = J2 grad U(z), exactly or by one
+    area-preserving step, and returns grad U at the advanced points, computed
+    with the operations of ``grad_fn`` so that the bytes are equal; a is a
+    scalar or one time per point.  Instances are immutable and safe for
+    concurrent reads; a flow writes only to the z it is given.
     """
 
     name: str
@@ -237,7 +247,7 @@ def _torus_zero(dim: int = 1) -> PotentialField:
         grad_fn=np.zeros_like,
         period=(TWO_PI,) * dim,
         params={"dim": dim},
-        rotation_flow=lambda z, a: z,  # grad U = 0
+        rotation_flow=lambda z, a: np.zeros_like(z),  # grad U = 0: z stays
     )
 
 

@@ -138,6 +138,59 @@ def test_blowup_in_a_merged_batch_names_its_delta_and_cell(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numeric failure: delta 300.0: trajectory became non-finite at step 11 "
         "(t = 0.011) in cell 0; dt is likely too large for the drift stiffness\n")
+    # the manifest locates the blow-up too, and no data file is written
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["failure"] == {"delta": 300.0, "step_index": 11, "cell_index": 0,
+                                   "t": pytest.approx(0.011)}
+    assert manifest["config"]["drift"]["deltas"] == [0.0, 300.0]
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    (["simulate"], 1), (["sweep"], 2),
+    (["estimate", "--threads", "2"], 33),  # two batches of 33 cells, in a pool
+])
+def test_every_sampling_command_records_its_blowup_in_the_manifest(argv, seeds, tmp_path,
+                                                                   capsys):
+    deltas = [300.0] if argv[0] == "simulate" else [0.0, 300.0]
+    doc = ou_config(potential="bimodal2", drift={"deltas": deltas}, substeps=1,
+                    horizon=1.0, burn_in=0.1, seeds=list(range(1, seeds + 1)))
+    batches = ExperimentConfig.from_dict(doc).lockstep_batches()
+    assert len(batches) == (2 if seeds == 33 else 1)
+    out = tmp_path / "o"
+    assert main([argv[0], "--config", write_config(tmp_path, doc), "--out", str(out),
+                 *argv[1:]]) == 3
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["delta"] == 300.0
+    assert 0 <= failure["cell_index"] < seeds
+    assert failure["t"] == pytest.approx(failure["step_index"] * 1e-3)
+    assert (f"non-finite at step {failure['step_index']} (t = {failure['t']:g}) in cell "
+            f"{failure['cell_index']};") in err
+
+
+def test_reproduce_table_records_its_blowup_in_the_manifest(tmp_path, monkeypatch):
+    # the bundled tables do not blow up, so a stub sampler raises as one would
+    def blow_up(*args, **kwargs):
+        raise cli.non_finite_error(7, 1e-3, 2, 0.0)
+
+    monkeypatch.setattr(cli, "simulate_cells", blow_up)
+    out = tmp_path / "o"
+    assert main(["reproduce-table", "--table", "1", "--scale", "0.03",
+                 "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"table": 1, "scale": 0.03, "seeds": [1, 2, 3, 4, 5]}
+    assert manifest["failure"] == {"delta": 0.0, "step_index": 7, "cell_index": 2,
+                                   "t": pytest.approx(7e-3)}
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+def test_reproduce_table_rejects_a_repeated_seed(tmp_path, capsys, solvers):
+    assert main(["reproduce-table", "--table", "1", "--scale", "0.03", "--seeds", "1,1",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert solvers == []
+    assert "seed 1 is repeated" in capsys.readouterr().err
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -558,6 +611,10 @@ BAD_INPUTS = {
         "simulate", ou_config(drift={"kind": "rotational", "deltas": [0.0, 1.0]},
                               seeds=[1]), []),
     "simulate_two_seeds": ("simulate", ou_config(seeds=[1]), ["--seeds", "1,2"]),
+    # a repeat would give result rows that share one (delta, seed) key
+    "repeated_delta": ("estimate", ou_config(drift={"deltas": [1.0, 1.0]}, seeds=[7]), []),
+    "repeated_seed": ("estimate", ou_config(drift={"deltas": [1.0]}, seeds=[7, 7]), []),
+    "seeds_flag_repeated": ("estimate", ou_config(), ["--seeds", "5,6,5"]),
 }
 #: What the message of a BAD_INPUTS case must name, where it is not just a value.
 NAMED_IN_MESSAGE = {
@@ -573,6 +630,9 @@ NAMED_IN_MESSAGE = {
     "noise_chunk_too_large": "values in one series or noise chunk",
     "noise_chunk_too_large_euler": "values in one series or noise chunk",
     "delta_too_large_for_automatic_substeps": "too large for automatic substeps",
+    "repeated_delta": "delta 1.0 is repeated; each delta may appear once",
+    "repeated_seed": "seed 7 is repeated; each seed may appear once",
+    "seeds_flag_repeated": "seed 5 is repeated",
 }
 
 
@@ -693,8 +753,8 @@ def test_wide_delta_groups_run_one_call_each():
 
 
 @pytest.mark.parametrize("potential, deltas, batches", [
-    ("quadratic", [0.0, 200.0, 200.0, 0.0], [(0,), (1, 2), (3,)]),
-    ("bimodal2", [0.0, 10.0, 100.0, 10.0], [(0, 1), (2,), (3,)]),
+    ("quadratic", [0.0, 200.0, 150.0, 0.5], [(0,), (1, 2), (3,)]),
+    ("bimodal2", [0.0, 10.0, 100.0, 5.0], [(0, 1), (2,), (3,)]),
 ])
 def test_groups_of_different_substeps_never_share_a_batch(potential, deltas, batches):
     config = ExperimentConfig.from_dict(ou_config(

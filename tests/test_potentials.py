@@ -154,6 +154,14 @@ def flow_field(name):
     return get_potential(name, **FLOWS[name])
 
 
+def advanced(field, z, a):
+    """The points z advanced by the flow for time a, on a copy: the flow
+    moves its argument in place."""
+    moved = np.array(z, dtype=float)
+    field.rotation_flow(moved, a)
+    return moved
+
+
 def rotational_field(field, z):
     """J2 grad U(z) = (dU/dy, -dU/dx)."""
     g = field.grad(z)
@@ -175,8 +183,8 @@ def test_rotation_flow_preserves_area(name):
     for axis in range(2):
         shift = np.zeros(2)
         shift[axis] = eps
-        jac[..., axis] = (field.rotation_flow(z + shift, 0.3)
-                          - field.rotation_flow(z - shift, 0.3)) / (2.0 * eps)
+        jac[..., axis] = (advanced(field, z + shift, 0.3)
+                          - advanced(field, z - shift, 0.3)) / (2.0 * eps)
     np.testing.assert_allclose(np.linalg.det(jac), 1.0, rtol=0, atol=1e-10)
 
 
@@ -185,7 +193,7 @@ def test_rotation_flow_backwards_undoes_it(name):
     field = flow_field(name)
     z = sample_points(field, 20, seed=2)
     for a in (0.3, np.linspace(-0.5, 0.5, 20)):  # one time, or one per point
-        back = field.rotation_flow(field.rotation_flow(z, a), -a)
+        back = advanced(field, advanced(field, z, a), -a)
         np.testing.assert_allclose(back, z, rtol=0, atol=1e-12)
 
 
@@ -194,7 +202,7 @@ def test_rotation_flow_follows_the_rotational_field(name):
     # (Phi_a(z) - z) / a -> J2 grad U(z) as a -> 0, at first order in a
     field = flow_field(name)
     z = sample_points(field, 20, seed=3)
-    errors = [np.max(np.abs((field.rotation_flow(z, a) - z) / a - rotational_field(field, z)))
+    errors = [np.max(np.abs((advanced(field, z, a) - z) / a - rotational_field(field, z)))
               for a in (1e-3, 1e-4)]
     assert errors[0] <= 0.1
     assert errors[1] <= errors[0] / 5.0 + 1e-10
@@ -205,7 +213,7 @@ def test_rotation_flow_energy_error_is_third_order(name):
     # the flow conserves U; one step's error shrinks ~8x per halving of a
     field = flow_field(name)
     z = sample_points(field, 50, seed=4)
-    errors = [np.max(np.abs(field.eval(field.rotation_flow(z, a)) - field.eval(z)))
+    errors = [np.max(np.abs(field.eval(advanced(field, z, a)) - field.eval(z)))
               for a in (0.02, 0.01)]
     assert errors[1] <= errors[0] / 6.0 + 1e-14
 
@@ -214,5 +222,20 @@ def test_rotation_flow_energy_error_is_third_order(name):
 def test_rotation_flow_for_time_zero_is_the_identity(name):
     field = flow_field(name)
     z = sample_points(field, 20, seed=5)
-    np.testing.assert_array_equal(field.rotation_flow(z, 0.0), z)
-    np.testing.assert_array_equal(field.rotation_flow(z, np.zeros(20)), z)
+    np.testing.assert_array_equal(advanced(field, z, 0.0), z)
+    np.testing.assert_array_equal(advanced(field, z, np.zeros(20)), z)
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+@pytest.mark.parametrize("per_point", [False, True])
+def test_rotation_flow_moves_its_argument_and_returns_the_gradient_there(name, per_point):
+    # the sampler feeds the returned gradient to its next step instead of
+    # calling grad_fn, so the bytes must be those of grad_fn
+    field = flow_field(name)
+    z = sample_points(field, 20, seed=6)
+    a = np.linspace(-0.5, 0.5, 20) if per_point else 0.3
+    moved = z.copy()
+    grads = field.rotation_flow(moved, a)
+    assert not np.array_equal(moved, z) or name == "torus-zero"  # grad U = 0 there
+    assert grads.shape == z.shape
+    assert grads.tobytes() == field.grad_fn(moved).tobytes()

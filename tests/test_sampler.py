@@ -22,7 +22,7 @@ from irrlangevin.sampler import (
     simulate_cells,
     stable_substeps,
 )
-from oracles import split_chain_moments
+from oracles import split_chain_moments, split_rule_reference
 
 QUAD = get_potential("quadratic")
 
@@ -283,6 +283,24 @@ def test_rotation_without_a_flow_stays_in_the_euler_update(name):
                    + math.sqrt(2 * diffusion * dt) * w)
         np.testing.assert_allclose(em_step(z, potential, drift, diffusion, dt, w),
                                    literal, rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("name, params", [("bimodal1", {}),
+                                          ("torus-cosine", {"a": 0.5, "b": -0.7}),
+                                          ("quadratic", {})])
+def test_split_rule_equals_its_step_by_step_reference_bitwise(name, params):
+    # chunks of 2 recorded steps (6 substeps): each flow's gradient feeds the
+    # next substep within a chunk, and each chunk starts from a fresh grad_fn
+    potential = get_potential(name, **params)
+    deltas = [0.0, 10.0, 100.0]
+    drifts = [None if delta == 0.0 else make_rotational_drift(potential, delta)
+              for delta in deltas]
+    initials = [(0.3, -0.8), (-1.1, 0.2), (0.9, 0.5)]
+    got = simulate_cells(potential, drifts, 0.1, 1e-2, 25, initials,
+                         [NormalStream(4, i) for i in range(3)], substeps=3, chunk_size=7)
+    want = split_rule_reference(potential, deltas, 0.1, 1e-2, 25, initials,
+                                [NormalStream(4, i) for i in range(3)], substeps=3)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_cells_with_different_drifts_match_one_cell_runs():
