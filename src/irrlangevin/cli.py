@@ -41,8 +41,8 @@ from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
 from .sampler import (
-    NOISE_CHUNK, non_finite_error, open_output, save_trajectory, simulate_cells,
-    stable_substeps,
+    NOISE_CHUNK, non_finite_error, open_output, remove_output, save_trajectory,
+    simulate_cells, stable_substeps,
 )
 from .spectral import (
     FourierObservable, check_levels, fourier_sigma2, observable_rate, rate_curvature,
@@ -601,17 +601,26 @@ def write_manifest(path: Path, config_doc: dict, extra: dict | None = None) -> N
 
 
 @contextlib.contextmanager
-def _failure_manifest(out: Path, config_doc: dict):
-    """Run the block; when it raises PropagationError, write
-    ``out/manifest.json`` with a ``failure`` entry (the cell's delta, the
-    step, the cell within its delta group and t) and re-raise, so the command
-    writes no data file and ``main`` reports the blow-up (exit 3)."""
+def _failure_manifest(out: Path, config_doc: dict, data_files):
+    """Run the block; when it raises PropagationError or SolverError, remove
+    the ``data_files`` the command would have written (regular files only,
+    as ``open_output`` replaces them), write ``out/manifest.json`` with a
+    ``failure`` entry and re-raise, so ``main`` reports the failure (exit 3)
+    and no data file of an earlier run stays beside the manifest.  A
+    blow-up's entry holds the cell's delta, the step, the cell within its
+    delta group and t; a solver's holds the failed solve and the message."""
     try:
         yield
-    except PropagationError as exc:
-        failure = {"delta": exc.delta, "step_index": exc.step_index,
-                   "cell_index": exc.cell_index, "t": exc.t}
-        with contextlib.suppress(ConfigError):  # the blow-up stays the reported cause
+    except (PropagationError, SolverError) as exc:
+        if isinstance(exc, SolverError):
+            failure = {"solve": exc.solve, "message": str(exc)}
+        else:
+            failure = {"delta": exc.delta, "step_index": exc.step_index,
+                       "cell_index": exc.cell_index, "t": exc.t}
+        for path in data_files:
+            with contextlib.suppress(OSError):  # the failure stays the reported cause
+                remove_output(path)
+        with contextlib.suppress(ConfigError):
             write_manifest(out / "manifest.json", config_doc, {"failure": failure})
         raise
 
@@ -739,7 +748,7 @@ def cmd_simulate(args) -> int:
     (delta,), (seed,) = config.deltas, config.seeds
     potential = config.build_potential()
     drift, substeps = config.drift(potential, delta), config.substeps_at(delta)
-    with _failure_manifest(out, config.to_dict()):
+    with _failure_manifest(out, config.to_dict(), [path]):
         states = simulate_cells(potential, [drift], config.diffusion, config.dt,
                                 config.n_steps, [config.initial], [NormalStream(seed)],
                                 substeps=substeps)[0]
@@ -768,11 +777,12 @@ def cmd_estimate(args) -> int:
     to sweep.csv."""
     config = _experiment_config(args)
     out = _out_dir(args)
-    with _failure_manifest(out, config.to_dict()):
-        rows, sampler_timing = run_experiment(config, threads=args.threads)
     name, columns = "results.csv", RESULT_COLUMNS
     if args.command == "sweep":
         name, columns = "sweep.csv", SWEEP_COLUMNS
+    with _failure_manifest(out, config.to_dict(), [out / name]):
+        rows, sampler_timing = run_experiment(config, threads=args.threads)
+    if args.command == "sweep":
         rows = sorted(rows, key=lambda r: (r["delta"], r["seed"], r["t"]))
     write_s = write_csv(out / name, columns, rows)
     write_manifest(out / "manifest.json", config.to_dict(),
@@ -786,14 +796,15 @@ def cmd_reproduce_table(args) -> int:
     seeds = _seed_list(args.seeds) if args.seeds else (1, 2, 3, 4, 5)
     out = _out_dir(args)
     config_doc = {"table": args.table, "scale": args.scale, "seeds": list(seeds)}
-    with _failure_manifest(out, config_doc):
+    comparison_csv = out / f"table{args.table}_comparison.csv"
+    with _failure_manifest(out, config_doc, [out / "results.csv", comparison_csv]):
         comparison, rows = reproduce_table(args.table, scale=args.scale,
                                            seeds=seeds, threads=args.threads)
     write_s = write_csv(out / "results.csv", RESULT_COLUMNS, rows)
     table_rows = [{"table": args.table, "delta": delta, "t": t, **asdict(cell)}
                   for (delta, t), cell in sorted(comparison.cells.items())]
     columns = list(table_rows[0])
-    write_s += write_csv(out / f"table{args.table}_comparison.csv", columns, table_rows)
+    write_s += write_csv(comparison_csv, columns, table_rows)
     write_manifest(out / "manifest.json", config_doc,
                    {"threads": args.threads,
                     "substeps": comparison.config.substeps_by_delta(),
@@ -808,8 +819,9 @@ def cmd_ratefn(args) -> int:
     config = RateConfig.from_dict(doc)
     out = _out_dir(args)
     start = time.perf_counter()
-    report = rate_irreversible(config.density, config.potential, config.drift,
-                               config.diffusion, compute_quadratic=config.quadratic)
+    with _failure_manifest(out, doc, [out / "rate_report.json", out / "rate_summary.csv"]):
+        report = rate_irreversible(config.density, config.potential, config.drift,
+                                   config.diffusion, compute_quadratic=config.quadratic)
     wall_s = time.perf_counter() - start
     report_doc = {
         "I0": report.i0, "J_C": report.j_c, "I_C": report.i_c, "K": report.k,
@@ -826,13 +838,8 @@ def cmd_ratefn(args) -> int:
         **report_doc, "potential": config.potential.name, "delta": config.drift.delta,
         "D": config.diffusion, "grid": config.density.size,
     }])
-    solves = {"main": {"iterations": report.gauge_iterations,
-                       "residual_rel": report.gauge_residual_rel}}
-    if config.quadratic:
-        solves["quadratic"] = {"iterations": report.quadratic_iterations,
-                               "residual_rel": report.quadratic_residual}
-    write_manifest(out / "manifest.json", doc,
-                   {"gauge_solves": solves, "wall_s": wall_s, "write_s": write_s})
+    write_manifest(out / "manifest.json", doc, {"gauge_solves": report.gauge_solves,
+                                                "wall_s": wall_s, "write_s": write_s})
     print(f"wrote {out / 'rate_report.json'}")
     return 0
 

@@ -37,4 +37,12 @@ class PropagationError(ArithmeticError):
 
 
 class SolverError(RuntimeError):
-    """An iterative solver failed to converge."""
+    """An iterative solver failed to converge.
+
+    ``solve`` names the failed solve where a computation runs several
+    (``main`` or ``quadratic`` in ``ratefn.rate_irreversible``), else None.
+    """
+
+    def __init__(self, message: str, solve: str | None = None):
+        super().__init__(message)
+        self.solve = solve

@@ -274,13 +274,19 @@ def open_output(path, mode: str = "w", **kwargs):
     missing path, a symlink, a device, a FIFO, a directory) is opened as
     given, so a symlink is written through and a device is never removed.
     ``mode`` and ``kwargs`` go to ``open``."""
+    remove_output(path)
+    return open(path, mode, **kwargs)
+
+
+def remove_output(path) -> None:
+    """Unlink ``path`` if it is a regular file, as ``open_output`` does
+    before it writes; anything else is left as it is."""
     try:
         regular = stat.S_ISREG(os.lstat(path).st_mode)
-    except OSError:  # missing, or not reachable: let open report it
-        regular = False
+    except OSError:  # missing or unreachable: nothing to unlink
+        return
     if regular:
         os.unlink(path)
-    return open(path, mode, **kwargs)
 
 
 def save_trajectory(states, config: dict, path) -> None:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irrlangevin import cli
+from irrlangevin import cli, ratefn
 from irrlangevin.cli import (
     ExperimentConfig,
     RESULT_COLUMNS,
@@ -21,7 +21,7 @@ from irrlangevin.cli import (
     reproduce_table,
     run_experiment,
 )
-from irrlangevin.errors import ConfigError
+from irrlangevin.errors import ConfigError, SolverError
 from irrlangevin.sampler import load_trajectory
 
 
@@ -186,6 +186,23 @@ def test_reproduce_table_records_its_blowup_in_the_manifest(tmp_path, monkeypatc
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command, data", [("estimate", "results.csv"),
+                                           ("sweep", "sweep.csv"),
+                                           ("simulate", "trajectory.traj")])
+def test_a_blowup_removes_the_data_file_of_an_earlier_run(command, data, tmp_path):
+    out = tmp_path / "o"
+    good = ou_config(horizon=1.0, burn_in=0.1, seeds=[1])
+    assert main([command, "--config", write_config(tmp_path, good), "--out", str(out)]) == 0
+    assert (out / data).exists()
+    bad = ou_config(potential="bimodal2", drift={"deltas": [300.0]}, substeps=1,
+                    horizon=1.0, burn_in=0.1, seeds=[1])
+    assert main([command, "--config", write_config(tmp_path, bad), "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["potential"]["name"] == "bimodal2"
+    assert manifest["failure"]["delta"] == 300.0
+
+
 def test_reproduce_table_rejects_a_repeated_seed(tmp_path, capsys, solvers):
     assert main(["reproduce-table", "--table", "1", "--scale", "0.03", "--seeds", "1,1",
                  "--out", str(tmp_path / "o")]) == 2
@@ -314,14 +331,56 @@ def test_ratefn_manifest_records_the_gauge_solves(tmp_path, quadratic):
     assert manifest["config"] == doc
     solves = manifest["gauge_solves"]
     assert set(solves) == ({"main", "quadratic"} if quadratic else {"main"})
-    assert solves["main"] == {"iterations": report["gauge_iterations"],
-                              "residual_rel": report["gauge_residual_rel"]}
+    assert solves["main"]["iterations"] == report["gauge_iterations"]
+    assert solves["main"]["residual_rel"] == report["gauge_residual_rel"]
     for solve in solves.values():
-        assert set(solve) == {"iterations", "residual_rel"}
+        assert set(solve) == {"iterations", "residual_rel", "cg_residual_first",
+                              "cg_residual_last"}
         assert solve["iterations"] > 0 and 0.0 <= solve["residual_rel"] <= 1e-10
+        # the CG residual falls from the right-hand side to the tolerance
+        assert solve["cg_residual_last"] <= 1e-12 < solve["cg_residual_first"]
     if quadratic:
         assert solves["quadratic"]["residual_rel"] == report["quadratic_residual"]
     assert manifest["wall_s"] > 0
+
+
+def test_ratefn_solver_failure_replaces_an_earlier_run(tmp_path, capsys):
+    # at D = 0.05 on grid 32 the Gibbs density spans e^40, past what the
+    # gauge CG resolves in double precision
+    doc = {"grid": 32, "potential": {"name": "torus-cosine", "params": {"a": 0.5, "b": 0.5}},
+           "density": {"kind": "gibbs"}, "drift": {"delta": 2.0}, "quadratic": True}
+    out = tmp_path / "rate"
+    assert main(["ratefn", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    bad = {**doc, "diffusion": 0.05}
+    assert main(["ratefn", "--config", write_config(tmp_path, bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == bad
+    message = manifest["failure"]["message"]
+    assert manifest["failure"] == {"solve": "main", "message": message}
+    assert err == f"numeric failure: {message}\n"
+    assert message.startswith("gauge ")
+
+
+def test_ratefn_failure_names_the_quadratic_solve(tmp_path, monkeypatch):
+    solve = ratefn.solve_gauge_field
+    calls = []
+
+    def fail_second(p, b):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SolverError("gauge solver did not converge in 1 iterations")
+        return solve(p, b)
+
+    monkeypatch.setattr(ratefn, "solve_gauge_field", fail_second)
+    doc = {"grid": 16, "potential": {"name": "torus-cosine", "params": {"a": 0.5, "b": 0.5}},
+           "density": {"kind": "gibbs", "shift": [1.0, 0.0]}, "quadratic": True}
+    out = tmp_path / "rate"
+    assert main(["ratefn", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure == {"solve": "quadratic",
+                       "message": "gauge solver did not converge in 1 iterations"}
 
 
 def test_ratefn_cli_density_file(tmp_path):

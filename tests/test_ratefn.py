@@ -254,8 +254,12 @@ def test_gauge_solve_matches_dense_reference(shape):
 
 def test_gauge_solve_fft_budget(monkeypatch):
     # the CG state is spectral: each iteration makes d inverse transforms
-    # for grad d, d forward ones for the flux and one inverse for the
-    # residual's max norm, 5 on the 2-torus
+    # for grad d and d forward ones for the flux, the same pair for the
+    # preconditioner and one inverse for the residual's max norm, 4 d + 1;
+    # the set-up makes d forward ones for div(p b) and one inverse for the
+    # first residual, and the flux check 2 d + 3 (the iterate, its gradient
+    # and the divergence of the flux).  Equality also fails a solve that
+    # bypasses np.fft.
     calls = []
     for name in ("rfftn", "irfftn"):
         transform = getattr(np.fft, name)
@@ -265,10 +269,48 @@ def test_gauge_solve_fft_budget(monkeypatch):
             return _transform(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    p = random_smooth_density(64, 2, seed=5)
-    gauge = solve_gauge_field(p, random_smooth_drift((64, 64), seed=7))
-    assert gauge.iterations > 10
-    assert len(calls) <= 5 * gauge.iterations + 12
+    for shape in [(64,), (64, 64)]:
+        calls.clear()
+        d = len(shape)
+        p = random_smooth_density(shape[0], d, seed=5)
+        gauge = solve_gauge_field(p, random_smooth_drift(shape, seed=7))
+        assert gauge.iterations > 0
+        assert len(calls) == (4 * d + 1) * gauge.iterations + 3 * d + 4
+
+
+def gibbs_drift(p, delta=2.0):
+    """-grad U + delta C0 of the 2-torus cosine potential on the grid of p."""
+    drift = make_rotational_drift(TORUS, delta)
+    return -field_on_grid(TORUS.grad, p) + delta * field_on_grid(drift.base_eval, p)
+
+
+def test_gauge_solve_on_a_gibbs_density_takes_few_iterations():
+    # max p / min p is about 55; the constant-coefficient preconditioner
+    # took about 100 iterations here
+    p = GridDensity.from_potential(TORUS, 0.5, 64, shift=(1.0, 0.3))
+    gauge = solve_gauge_field(p, gibbs_drift(p))
+    assert 0 < gauge.iterations <= 15
+    assert gauge.residual_rel <= 1e-10
+    assert gauge.cg_residual_last <= 1e-12 < gauge.cg_residual_first
+
+
+@pytest.mark.parametrize("density", [
+    lambda: GridDensity.from_potential(TORUS, 0.1, 64, shift=(1.0, 0.3)),  # p ratio e^20
+    lambda: random_smooth_density(64, 2, amplitude=2.0),  # p ratio about 1100
+], ids=["gibbs-D0.1", "random-amplitude-2"])
+def test_gauge_solve_converges_on_strongly_varying_densities(density):
+    p = density()
+    gauge = solve_gauge_field(p, gibbs_drift(p))
+    assert gauge.residual_rel <= 1e-10
+
+
+def test_gauge_solve_on_the_circle_takes_at_most_three_iterations():
+    # the preconditioner is the inverse up to rank one in one dimension
+    x = grid_points(256, 1)[:, 0]
+    p = GridDensity.from_values(np.exp(2.0 * np.cos(x) + np.sin(2.0 * x)))
+    gauge = solve_gauge_field(p, np.ones((1, 256)))
+    assert 0 < gauge.iterations <= 3
+    assert gauge.residual_rel <= 1e-10
 
 
 # ---------------------------------------------------------------------------
