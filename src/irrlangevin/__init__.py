@@ -8,7 +8,7 @@ Subpackages:
 * ``estimators`` -- batch-means ergodic averages, asymptotic variance
 * ``ratefn``     -- empirical-measure rate functionals on periodic grids
 * ``spectral``   -- exact circle variances; principal eigenvalues and
-                    observable rate functions on the circle and the 2-torus
+                    observable rate functions on the circle
 * ``cli``        -- config-driven experiment runner
 """
 
@@ -48,7 +48,6 @@ from .rng import NORMAL_ALGORITHM, NormalStream
 from .sampler import load_trajectory, save_trajectory, simulate_cells
 from .spectral import (
     FourierObservable,
-    ObservableRateCurve,
     ScaledCgf,
     fourier_sigma2,
     observable_rate,

@@ -45,7 +45,8 @@ from .sampler import (
     simulate_cells, stable_substeps,
 )
 from .spectral import (
-    FourierObservable, check_levels, fourier_sigma2, observable_rate, rate_curvature,
+    MAX_GRID, FourierObservable, check_levels, fourier_sigma2, observable_rate,
+    rate_curvature,
 )
 
 RESULT_COLUMNS = (
@@ -99,11 +100,8 @@ TABLE_SPECS = {
 # an invalid document exits with code 2 before any solve starts.
 
 _REQUIRED = object()
-#: Grid bounds: memory grows with the ratefn node count and, through its
-#: dense N x N operators, with the square of the spectral grid.  One dense
-#: eigensolve at N = 2048 took 13-16 s on 2 cores; a curvature needs one.
+#: Most ratefn grid nodes; its memory grows with the node count.
 MAX_RATE_GRID_NODES = 2**20
-MAX_SPECTRAL_GRID = 2048
 #: Most float64 values (512 MiB) one lockstep batch may hold in its recorded
 #: series or in one noise chunk; the largest shipped run, a 200-seed
 #: ensemble of 50001 steps, records 1e7.
@@ -118,6 +116,15 @@ LOCKSTEP_CELLS = 64
 def _check(ok: bool, message: str) -> None:
     if not ok:
         raise ConfigError(message)
+
+
+def _check_distinct(name: str, values) -> None:
+    """Reject a value given twice, naming it: each value keys output rows."""
+    seen = set()
+    for value in values:
+        _check(value not in seen, f"{name} {value!r} is repeated; each {name} "
+                                  f"may appear once")
+        seen.add(value)
 
 
 def _convert(value, kind: type, name: str):
@@ -269,12 +276,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check(self.deltas and self.seeds, "delta and seed lists must be nonempty")
-        for name, values in (("delta", self.deltas), ("seed", self.seeds)):
-            seen = set()
-            for value in values:  # (delta, seed) is the key of a result row
-                _check(value not in seen, f"{name} {value!r} is repeated; each {name} "
-                                          f"may appear once")
-                seen.add(value)
+        for name, values in (("delta", self.deltas), ("seed", self.seeds),
+                             ("checkpoint", self.checkpoints)):
+            _check_distinct(name, values)  # (delta, seed, t) keys a result row
         _check(self.dt > 0 and 0 <= self.burn_in < self.horizon,
                "need dt > 0 and 0 <= burn_in < horizon")
         _check(math.isfinite(self.horizon / self.dt), "horizon / dt is too large")
@@ -446,8 +450,9 @@ class RateConfig:
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """spectral inputs: the ``ell_grid`` levels are distinct and each lies
-    strictly inside the range of the observable sampled on the grid."""
+    """spectral inputs: the deltas and the ``ell_grid`` levels are distinct,
+    and each level lies strictly inside the range of the observable sampled
+    on the grid."""
 
     deltas: tuple[float, ...]
     diffusion: float
@@ -460,9 +465,9 @@ class SpectralConfig:
         config = cls(fields("deltas", [float]), fields("diffusion", float, 1.0),
                      fields("grid", int, 256), fields("ell_grid", [float], ()))
         _check(config.deltas, "delta list must be nonempty")
+        _check_distinct("delta", config.deltas)
         _check(config.diffusion > 0, "diffusion must be > 0")
-        _check(8 <= config.grid <= MAX_SPECTRAL_GRID,
-               f"grid must lie in [8, {MAX_SPECTRAL_GRID}]")
+        _check(8 <= config.grid <= MAX_GRID, f"grid must lie in [8, {MAX_GRID}]")
         check_levels(SPECTRAL_OBSERVABLE.samples(config.grid), config.ell_grid)
         return fields.reject_unread(config)
 
@@ -847,27 +852,35 @@ def cmd_ratefn(args) -> int:
 def cmd_spectral(args) -> int:
     config = SpectralConfig.from_dict(_load_config_doc(args))
     out = _out_dir(args)
+    sigma_csv, curve_csv = out / "sigma2.csv", out / "rate_curve.csv"
     samples = SPECTRAL_OBSERVABLE.samples(config.grid)
     sigma_rows, curve_rows = [], []
-    for delta in config.deltas:
-        curvature, implied = rate_curvature(samples, delta, config.diffusion)
-        sigma_rows.append({
-            "delta": delta, "D": config.diffusion,
-            "sigma2_fourier": fourier_sigma2(SPECTRAL_OBSERVABLE, delta, config.diffusion),
-            "sigma2_curvature": implied,
-        })
-        if config.ell_grid:
-            curve = observable_rate(samples, delta, config.diffusion, config.ell_grid)
-            curve_rows += [{"delta": delta, "D": config.diffusion,
-                            "ell": float(ell), "rate": float(rate)}
-                           for ell, rate in zip(curve.ells, curve.rates)]
-    write_s = write_csv(out / "sigma2.csv",
-                        ["delta", "D", "sigma2_fourier", "sigma2_curvature"], sigma_rows)
+    start = time.perf_counter()
+    with _failure_manifest(out, asdict(config), [sigma_csv, curve_csv]):
+        for delta in config.deltas:
+            try:
+                implied = rate_curvature(samples, delta, config.diffusion)[1]
+                rates = observable_rate(samples, delta, config.diffusion,
+                                        config.ell_grid) if config.ell_grid else ()
+            except SolverError as exc:
+                raise SolverError(str(exc), solve=f"delta {delta}") from exc
+            fourier = fourier_sigma2(SPECTRAL_OBSERVABLE, delta, config.diffusion)
+            sigma_rows.append({"delta": delta, "D": config.diffusion,
+                               "sigma2_fourier": fourier, "sigma2_curvature": implied})
+            curve_rows += [{"delta": delta, "D": config.diffusion, "ell": ell,
+                            "rate": float(rate)}
+                           for ell, rate in zip(config.ell_grid, rates)]
+    wall_s = time.perf_counter() - start
+    write_s = write_csv(sigma_csv, ["delta", "D", "sigma2_fourier", "sigma2_curvature"],
+                        sigma_rows)
     if curve_rows:
-        write_s += write_csv(out / "rate_curve.csv", ["delta", "D", "ell", "rate"],
-                             curve_rows)
-    write_manifest(out / "manifest.json", asdict(config), {"write_s": write_s})
-    print(f"wrote {out / 'sigma2.csv'}")
+        write_s += write_csv(curve_csv, ["delta", "D", "ell", "rate"], curve_rows)
+    else:  # no levels: no rate curve of an earlier run stays beside this manifest
+        with _Writing(curve_csv):
+            remove_output(curve_csv)
+    write_manifest(out / "manifest.json", asdict(config),
+                   {"wall_s": wall_s, "write_s": write_s})
+    print(f"wrote {sigma_csv}")
     return 0
 
 

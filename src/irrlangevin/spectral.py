@@ -1,4 +1,4 @@
-"""Periodic-generator analytics and observable-level rate functions.
+"""Circle-generator analytics and observable-level rate functions.
 
 The flat circle with generator L = D Lap + delta d/dx is the one setting
 where everything is exactly computable: the spectrum is -D n^2 + i n delta,
@@ -8,9 +8,9 @@ the asymptotic variance of a zero-mean observable f = sum c_n e^{inx} is
 
 (the CLT variance of the time average), and the scaled cumulant generating
 function lambda(beta f) is the principal eigenvalue of L + beta f.  The
-module discretizes D Lap + C . grad with centered differences on a periodic
-grid (the circle, or the 2-torus with a drift field C), extracts
-lambda(beta f) on either as the Perron eigenvalue of the dense matrix, and
+module discretizes D d^2/dx^2 + C d/dx with centered differences on a
+periodic circle grid (C constant or given per node), extracts
+lambda(beta f) as the Perron eigenvalue of the dense matrix, and
 Legendre-transforms it into the rate function of the ergodic average.
 lambda' and lambda'' are exact, from the Perron pair and two bordered
 linear solves (Hellmann-Feynman), so a Newton step of that transform is one
@@ -30,8 +30,9 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParameterError, SolverError
 
 TWO_PI = 2.0 * math.pi
-#: Most nodes of a dense generator; its matrix takes 128 MiB at the bound.
-MAX_DENSE_NODES = 64**2
+#: Most nodes of the circle grid.  The dense generator takes 32 MiB at the
+#: bound, and one dense eigensolve there took 13-16 s on 2 cores.
+MAX_GRID = 2048
 #: The tilt solve's tolerance on lambda'(beta) - ell (relative to
 #: max(1, |ell|)) and its step budget.
 TILT_TOL = 1e-8
@@ -94,33 +95,26 @@ def fourier_sigma2(observable: FourierObservable, delta: float,
 
 
 def periodic_generator(drift_samples, diffusion: float) -> np.ndarray:
-    """Dense centered-difference discretization of D Lap + C . grad on the
-    periodic grid of ``drift_samples``: shape (1, N) on the circle or
-    (2, N, N) on the 2-torus, with ``drift_samples[axis]`` the component of
-    C along that axis.  Nodes are numbered row-major; at most
-    ``MAX_DENSE_NODES`` of them."""
+    """Dense centered-difference discretization of D d^2/dx^2 + C d/dx on the
+    periodic circle grid of ``drift_samples``, shape (N,), the drift C at
+    each node; 8 <= N <= ``MAX_GRID``."""
     c = np.asarray(drift_samples, dtype=float)
-    dims, shape = c.ndim - 1, c.shape[1:]
-    if dims not in (1, 2) or c.shape[0] != dims or len(set(shape)) != 1:
-        raise DimensionError("drift samples must have shape (1, N) or (2, N, N)")
-    n = shape[0]
-    if not (8 <= n and n**dims <= MAX_DENSE_NODES):
-        raise ParameterError(f"grid size must be at least 8 and the node count at "
-                             f"most {MAX_DENSE_NODES}, got {' x '.join([str(n)] * dims)}")
+    if c.ndim != 1:
+        raise DimensionError(f"drift samples must have shape (N,), got {c.shape}")
+    n = len(c)
+    if not 8 <= n <= MAX_GRID:
+        raise ParameterError(f"grid size must lie in [8, {MAX_GRID}], got {n}")
     if not np.isfinite(c).all():
         raise ParameterError("drift samples must be finite")
     if not (math.isfinite(diffusion) and diffusion > 0):
         raise ParameterError(f"diffusion must be finite and positive, got {diffusion}")
     h = TWO_PI / n
-    off, skew = diffusion * (1.0 / h**2), 1.0 / (2.0 * h)
-    idx = np.arange(n**dims).reshape(shape)
-    row = idx.ravel()
-    matrix = np.zeros((n**dims, n**dims))
-    matrix[row, row] = -2.0 * dims * off
-    for axis in range(dims):
-        field = c[axis].ravel() * skew
-        matrix[row, np.roll(idx, -1, axis=axis).ravel()] = off + field
-        matrix[row, np.roll(idx, 1, axis=axis).ravel()] = off - field
+    off, field = diffusion * (1.0 / h**2), c * (1.0 / (2.0 * h))
+    row = np.arange(n)
+    matrix = np.zeros((n, n))
+    matrix[row, row] = -2.0 * off
+    matrix[row, (row + 1) % n] = off + field
+    matrix[row, (row - 1) % n] = off - field
     return matrix
 
 
@@ -167,19 +161,17 @@ def _perron(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
 class ScaledCgf:
     """The map beta -> lambda(beta f) and its first two derivatives for one
-    (f, C, D) context: ``f_samples`` of shape (N,) or (N, N), and ``drift``
-    a scalar delta (C = delta along every axis) or C per node, an array
-    with f.ndim + 1 axes that broadcasts to (f.ndim, *f.shape)."""
+    (f, C, D) context on the circle grid: ``f_samples`` of shape (N,), and
+    ``drift`` a scalar delta or C per node, shape (N,)."""
 
     def __init__(self, f_samples, drift, diffusion: float):
         f = _observable(f_samples)
         c = np.asarray(drift, dtype=float)
-        shape = (f.ndim, *f.shape)
-        if c.ndim and (c.ndim != len(shape)
-                       or any(a not in (1, b) for a, b in zip(c.shape, shape))):
-            raise DimensionError(f"drift of shape {c.shape} does not broadcast to {shape}")
-        self.f = f.ravel()
-        self._base = periodic_generator(np.broadcast_to(c, shape), diffusion)
+        if f.ndim != 1 or c.shape not in ((), f.shape):
+            raise DimensionError(f"need an observable of shape (N,) and a scalar drift "
+                                 f"or one of its shape, got {f.shape} and {c.shape}")
+        self.f = f
+        self._base = periodic_generator(np.broadcast_to(c, f.shape), diffusion)
 
     def value(self, beta: float) -> float:
         return _perron(_add_potential(self._base.copy(), float(beta), self.f))[0]
@@ -197,7 +189,9 @@ class ScaledCgf:
         matrix = _add_potential(self._base.copy(), float(beta), self.f)
         lam, r = _perron(matrix) if beta else (0.0, np.ones(len(self.f)))
         n = len(r)
-        border = np.block([[matrix - lam * np.eye(n), r[:, None]], [r, 0.0]])
+        border = np.zeros((n + 1, n + 1))
+        border[:n, :n], border[:n, n], border[n, :n] = matrix, r, r
+        border[np.diag_indices(n)] -= lam
         left = np.linalg.solve(border.T, np.eye(1, n + 1, n)[0])[:n]
         slope = float(left @ (self.f * r))
         dr = np.linalg.solve(border, np.append((slope - self.f) * r, 0.0))[:n]
@@ -243,14 +237,6 @@ def _solve_tilt(scgf: ScaledCgf, ell: float) -> tuple[float, float]:
     raise SolverError(f"tilt solve for level {ell} did not converge")
 
 
-@dataclass(frozen=True)
-class ObservableRateCurve:
-    """Sampled rate function of the ergodic average of f."""
-
-    ells: np.ndarray
-    rates: np.ndarray
-
-
 def check_levels(f_samples, ell_grid) -> np.ndarray:
     """The levels as an array, each checked distinct (``ParameterError``)
     and strictly inside (min f, max f) (``DomainError``) of a nonempty,
@@ -267,11 +253,10 @@ def check_levels(f_samples, ell_grid) -> np.ndarray:
     return ells
 
 
-def observable_rate(f_samples, drift, diffusion: float,
-                    ell_grid) -> ObservableRateCurve:
-    """Legendre transform sup_beta {beta ell - lambda(beta f)} on a grid of
-    distinct levels, each strictly inside (min f, max f); ``f_samples`` and
-    ``drift`` as for ``ScaledCgf``.
+def observable_rate(f_samples, drift, diffusion: float, ell_grid) -> np.ndarray:
+    """The rates sup_beta {beta ell - lambda(beta f)}, one per level of
+    ``ell_grid``, in its order; the levels are distinct and each strictly
+    inside (min f, max f).  ``f_samples`` and ``drift`` as for ``ScaledCgf``.
 
     Convexity of the returned curve is asserted (second divided differences
     >= -1e-8)."""
@@ -288,7 +273,7 @@ def observable_rate(f_samples, drift, diffusion: float,
         right = (r[i + 1] - r[i]) / (e[i + 1] - e[i])
         if right - left < -1e-8:
             raise SolverError("rate curve failed the convexity check")
-    return ObservableRateCurve(ells, rates)
+    return rates
 
 
 def rate_curvature(f_samples, drift, diffusion: float) -> tuple[float, float]:

@@ -60,7 +60,7 @@ def generator_spectrum(n: int, delta: float, diffusion: float) -> np.ndarray:
     """Eigenvalues of the discretized circle generator, sorted by real part
     (descending).  The advection part only shifts imaginary parts: real
     parts are identical across delta."""
-    eig = np.linalg.eigvals(periodic_generator(np.full((1, n), float(delta)), diffusion))
+    eig = np.linalg.eigvals(periodic_generator(np.full(n, float(delta)), diffusion))
     order = np.lexsort((eig.imag, -eig.real))
     return eig[order]
 

@@ -417,13 +417,33 @@ def test_spectral_cli(tmp_path):
     curve_lines = (out / "rate_curve.csv").read_text().splitlines()
     assert curve_lines[0] == "delta,D,ell,rate"
     assert len(curve_lines) == 1 + 4  # 2 deltas x 2 levels
+    assert json.loads((out / "manifest.json").read_text())["wall_s"] > 0
 
 
 def test_spectral_level_past_the_tilt_bracket_exits_3(tmp_path, capsys):
+    out = tmp_path / "o"
+    good = spectral_config(deltas=[0.0], grid=64, ell_grid=[0.3])
+    assert main(["spectral", "--config", write_config(tmp_path, good), "--out", str(out)]) == 0
     # the level passes check_levels; its tilt is past what the Perron solve reaches
-    cfg = write_config(tmp_path, spectral_config(deltas=[0.0], grid=64, ell_grid=[0.9999]))
-    assert main(["spectral", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err.startswith("numeric failure: level 0.9999: ")
+    bad = spectral_config(deltas=[0.0], grid=64, ell_grid=[0.9999])
+    assert main(["spectral", "--config", write_config(tmp_path, bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: level 0.9999: ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["ell_grid"] == [0.9999]
+    message = manifest["failure"]["message"]
+    assert manifest["failure"] == {"solve": "delta 0.0", "message": message}
+    assert err == f"numeric failure: {message}\n"
+
+
+def test_spectral_without_levels_removes_an_earlier_rate_curve(tmp_path):
+    out = tmp_path / "o"
+    for levels, files in (([0.3], ["manifest.json", "rate_curve.csv", "sigma2.csv"]),
+                          ([], ["manifest.json", "sigma2.csv"])):
+        cfg = write_config(tmp_path, spectral_config(grid=16, ell_grid=levels))
+        assert main(["spectral", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == files
 
 
 @pytest.mark.parametrize("case", ["simulate_to_a_full_device", "spectral_csv_is_a_directory"])
@@ -674,6 +694,10 @@ BAD_INPUTS = {
     "repeated_delta": ("estimate", ou_config(drift={"deltas": [1.0, 1.0]}, seeds=[7]), []),
     "repeated_seed": ("estimate", ou_config(drift={"deltas": [1.0]}, seeds=[7, 7]), []),
     "seeds_flag_repeated": ("estimate", ou_config(), ["--seeds", "5,6,5"]),
+    # a repeat would give rows that share one (delta, seed, t) or delta key
+    "repeated_checkpoint": (
+        "estimate", ou_config(checkpoints=[20.0, 10.0, 20.0]), []),
+    "spectral_repeated_delta": ("spectral", spectral_config(deltas=[1.0, 1.0]), []),
 }
 #: What the message of a BAD_INPUTS case must name, where it is not just a value.
 NAMED_IN_MESSAGE = {
@@ -692,6 +716,8 @@ NAMED_IN_MESSAGE = {
     "repeated_delta": "delta 1.0 is repeated; each delta may appear once",
     "repeated_seed": "seed 7 is repeated; each seed may appear once",
     "seeds_flag_repeated": "seed 5 is repeated",
+    "repeated_checkpoint": "checkpoint 20.0 is repeated; each checkpoint may appear once",
+    "spectral_repeated_delta": "delta 1.0 is repeated; each delta may appear once",
 }
 
 

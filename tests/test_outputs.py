@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from irrlangevin import cli
 from irrlangevin.cli import main
+from irrlangevin.errors import SolverError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "irrlangevin"
 
@@ -38,14 +40,14 @@ COMMANDS = {
 }
 
 
-def run(command, tmp_path, out):
+def run(command, tmp_path, out, code=0):
     doc, flags, _ = COMMANDS[command]
     argv = [command, *flags, "--out", str(out)]
     if doc is not None:
         config = tmp_path / f"{command}.json"
         config.write_text(json.dumps(doc))
         argv += ["--config", str(config)]
-    assert main(argv) == 0
+    assert main(argv) == code
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -79,6 +81,32 @@ def test_every_manifest_records_the_seconds_spent_writing_data_files(command, tm
     write_s = json.loads((out / "manifest.json").read_text())["write_s"]
     assert isinstance(write_s, float) and math.isfinite(write_s)
     assert 0.0 < write_s < elapsed
+
+
+#: The solve entry points of ``cli`` (each command calls one) and the error
+#: each raises when it fails.
+FAILURES = {
+    "simulate_cells": lambda: cli.non_finite_error(7, 1e-3, 0, 1.0),
+    "rate_irreversible": lambda: SolverError("gauge solver did not converge", solve="main"),
+    "rate_curvature": lambda: SolverError("non-positive curvature at the mean"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_failed_solve_leaves_only_its_failure_manifest(command, tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    run(command, tmp_path, out)
+
+    def fail(make):
+        def entry(*args, **kwargs):
+            raise make()
+        return entry
+
+    for name, make in FAILURES.items():
+        monkeypatch.setattr(cli, name, fail(make))
+    run(command, tmp_path, out, code=3)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert "failure" in json.loads((out / "manifest.json").read_text())
 
 
 def test_a_symlinked_output_stays_a_link_and_its_target_gets_the_new_bytes(tmp_path):
