@@ -92,6 +92,8 @@ TABLE_SPECS = {
         },
     },
 }
+#: The seeds of a bundled table run without --seeds.
+TABLE_SEEDS = (1, 2, 3, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +607,23 @@ def write_manifest(path: Path, config_doc: dict, extra: dict | None = None) -> N
                       "config": config_doc, **(extra or {})})
 
 
+def remove_stale(paths) -> None:
+    """Remove outputs an earlier run left that this run does not write, so
+    none stays beside its manifest; an OSError exits 2, as for a write."""
+    for path in paths:
+        with _Writing(path):
+            remove_output(path)
+
+
 @contextlib.contextmanager
-def _failure_manifest(out: Path, config_doc: dict, data_files):
+def _failure_manifest(out: Path, config_doc: dict, data_files, extra: dict | None = None):
     """Run the block; when it raises PropagationError or SolverError, remove
     the ``data_files`` the command would have written (regular files only,
-    as ``open_output`` replaces them), write ``out/manifest.json`` with a
-    ``failure`` entry and re-raise, so ``main`` reports the failure (exit 3)
-    and no data file of an earlier run stays beside the manifest.  A
-    blow-up's entry holds the cell's delta, the step, the cell within its
-    delta group and t; a solver's holds the failed solve and the message."""
+    as ``open_output`` replaces them), write ``out/manifest.json`` with
+    ``extra`` and a ``failure`` entry and re-raise, so ``main`` reports the
+    failure (exit 3) and no data file of an earlier run stays beside the
+    manifest.  A blow-up's entry holds the cell's delta, the step, the cell
+    within its delta group and t; a solver's the failed solve and message."""
     try:
         yield
     except (PropagationError, SolverError) as exc:
@@ -626,7 +636,8 @@ def _failure_manifest(out: Path, config_doc: dict, data_files):
             with contextlib.suppress(OSError):  # the failure stays the reported cause
                 remove_output(path)
         with contextlib.suppress(ConfigError):
-            write_manifest(out / "manifest.json", config_doc, {"failure": failure})
+            write_manifest(out / "manifest.json", config_doc,
+                           {**(extra or {}), "failure": failure})
         raise
 
 
@@ -634,68 +645,47 @@ def _failure_manifest(out: Path, config_doc: dict, data_files):
 # table reproduction
 
 
-@dataclass(frozen=True)
-class CellComparison:
-    reference_value: float
-    measured_value: float
-    reference_ratio: float | None
-    measured_ratio: float | None
-    ratio_check: bool
-
-
-@dataclass(frozen=True)
-class TableComparison:
-    cells: dict
-    config: ExperimentConfig
-    sampler_timing: list
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.ratio_check for c in self.cells.values())
-
-
-def reproduce_table(table_id: int, scale: float = 1.0, seeds=(1, 2, 3, 4, 5),
-                    threads: int = 1) -> tuple[TableComparison, list[dict]]:
-    """Rerun one bundled reference table and compare variance ratios.
-
-    Individual variance cells are single stochastic realizations, so the
-    check is on delta-to-delta ratios at fixed t: the measured ratio of
-    seed-median variances must reach at least a third of the reference
-    ratio.  (The band is one-sided: a stabilized integrator routinely shows
-    *more* variance reduction than the printed cells, which is a success,
-    not a mismatch.)  ``scale`` rescales every horizon.
-    """
+def table_config(table_id: int, scale: float = 1.0,
+                 seeds: tuple[int, ...] = TABLE_SEEDS) -> ExperimentConfig:
+    """The ``estimate`` config of a bundled table: D 0.1, dt 1e-3, one
+    checkpoint per reference column, each rescaled by ``scale`` in (0, 1],
+    and a burn-in of min(5, a quarter of the first checkpoint)."""
     _check(table_id in TABLE_SPECS, f"table id must be one of {sorted(TABLE_SPECS)}")
     _check(0 < scale <= 1.0, "scale must lie in (0, 1]")
     spec = TABLE_SPECS[table_id]
     times = tuple(t * scale for t in spec["times"])
-    config = ExperimentConfig(
+    return ExperimentConfig(
         potential=spec["potential"], deltas=spec["deltas"], diffusion=0.1, dt=1e-3,
         horizon=max(times), burn_in=min(5.0, 0.25 * min(times)), seeds=tuple(seeds),
         checkpoints=times)
-    rows, sampler_timing = run_experiment(config, threads=threads)
 
-    medians: dict = {}
-    for delta in spec["deltas"]:
-        for t in times:
-            values = [r["s2m"] for r in rows if r["delta"] == delta and r["t"] == t]
-            medians[(delta, t)] = float(np.median(values))
 
-    cells = {}
-    base = spec["deltas"][0]
+def compare_table(table_id: int, rows: list[dict]) -> list[dict]:
+    """The ``tableN_comparison.csv`` rows of the ``results.csv`` rows of a
+    ``table_config`` run: per (delta, t) the reference and the seed median
+    of ``s2m``.  Individual variance cells are single stochastic
+    realizations, so the check is on ratios to delta = 0 at fixed t: the
+    measured ratio must reach a third of the reference one.  (The band is
+    one-sided: a stabilized integrator routinely shows *more* variance
+    reduction than the printed cells, which is a success, not a mismatch.)"""
+    spec = TABLE_SPECS[table_id]
+    base, times = spec["deltas"][0], sorted({row["t"] for row in rows})
+    medians = {(delta, t): float(np.median([r["s2m"] for r in rows
+                                            if r["delta"] == delta and r["t"] == t]))
+               for delta in spec["deltas"] for t in times}
+    table = []
     for delta in spec["deltas"]:
         for i, t in enumerate(times):
-            reference = spec["reference"][delta][i]
-            measured = medians[(delta, t)]
-            if delta == base:
-                cells[(delta, t)] = CellComparison(reference, measured, None, None, True)
-                continue
-            ref_ratio = spec["reference"][base][i] / reference
-            meas_ratio = medians[(base, t)] / measured
-            ok = meas_ratio >= ref_ratio / 3.0
-            cells[(delta, t)] = CellComparison(reference, measured, ref_ratio,
-                                               meas_ratio, ok)
-    return TableComparison(cells, config, sampler_timing), rows
+            reference, measured = spec["reference"][delta][i], medians[(delta, t)]
+            ref_ratio = meas_ratio = None
+            if delta != base:
+                ref_ratio = spec["reference"][base][i] / reference
+                meas_ratio = medians[(base, t)] / measured
+            table.append({"table": table_id, "delta": delta, "t": t,
+                          "reference_value": reference, "measured_value": measured,
+                          "reference_ratio": ref_ratio, "measured_ratio": meas_ratio,
+                          "ratio_check": delta == base or meas_ratio >= ref_ratio / 3.0})
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -716,15 +706,16 @@ def _load_config_doc(args) -> dict:
 
 def _seed_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        seeds = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers, "
-                          f"got {text!r}") from None
+        seeds = ()
+    _check(seeds, f"--seeds must be comma-separated integers, got {text!r}")
+    return seeds
 
 
 def _experiment_config(args) -> ExperimentConfig:
     doc = _load_config_doc(args)
-    if args.seeds:
+    if args.seeds is not None:
         doc["seeds"] = list(_seed_list(args.seeds))
     return ExperimentConfig.from_dict(doc)
 
@@ -798,23 +789,25 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_reproduce_table(args) -> int:
-    seeds = _seed_list(args.seeds) if args.seeds else (1, 2, 3, 4, 5)
+    """``estimate`` of ``table_config``, with ``table`` and ``scale`` beside
+    the manifest's ``config``, plus this table's ``compare_table`` CSV; the
+    other tables' comparison CSVs are removed."""
+    seeds = TABLE_SEEDS if args.seeds is None else _seed_list(args.seeds)
+    config = table_config(args.table, args.scale, seeds)
     out = _out_dir(args)
-    config_doc = {"table": args.table, "scale": args.scale, "seeds": list(seeds)}
-    comparison_csv = out / f"table{args.table}_comparison.csv"
-    with _failure_manifest(out, config_doc, [out / "results.csv", comparison_csv]):
-        comparison, rows = reproduce_table(args.table, scale=args.scale,
-                                           seeds=seeds, threads=args.threads)
+    comparisons = {i: out / f"table{i}_comparison.csv" for i in TABLE_SPECS}
+    echo = {"table": args.table, "scale": args.scale}
+    with _failure_manifest(out, config.to_dict(),
+                           [out / "results.csv", *comparisons.values()], echo):
+        rows, sampler_timing = run_experiment(config, threads=args.threads)
+    table_rows = compare_table(args.table, rows)
     write_s = write_csv(out / "results.csv", RESULT_COLUMNS, rows)
-    table_rows = [{"table": args.table, "delta": delta, "t": t, **asdict(cell)}
-                  for (delta, t), cell in sorted(comparison.cells.items())]
-    columns = list(table_rows[0])
-    write_s += write_csv(comparison_csv, columns, table_rows)
-    write_manifest(out / "manifest.json", config_doc,
-                   {"threads": args.threads,
-                    "substeps": comparison.config.substeps_by_delta(),
-                    "sampler_timing": comparison.sampler_timing, "write_s": write_s})
-    status = "PASS" if comparison.all_pass else "FAIL"
+    write_s += write_csv(comparisons.pop(args.table), list(table_rows[0]), table_rows)
+    remove_stale(comparisons.values())
+    write_manifest(out / "manifest.json", config.to_dict(),
+                   {**echo, "threads": args.threads, "substeps": config.substeps_by_delta(),
+                    "sampler_timing": sampler_timing, "write_s": write_s})
+    status = "PASS" if all(row["ratio_check"] for row in table_rows) else "FAIL"
     print(f"table {args.table} ratio checks: {status}")
     return 0
 
@@ -860,11 +853,14 @@ def cmd_spectral(args) -> int:
         for delta in config.deltas:
             try:
                 implied = rate_curvature(samples, delta, config.diffusion)[1]
+                fourier = fourier_sigma2(SPECTRAL_OBSERVABLE, delta, config.diffusion)
+                if not (math.isfinite(fourier) and math.isfinite(implied)):
+                    raise SolverError(f"sigma^2 at delta {delta} is not finite (Fourier "
+                                      f"{fourier}, curvature {implied})")
                 rates = observable_rate(samples, delta, config.diffusion,
                                         config.ell_grid) if config.ell_grid else ()
             except SolverError as exc:
                 raise SolverError(str(exc), solve=f"delta {delta}") from exc
-            fourier = fourier_sigma2(SPECTRAL_OBSERVABLE, delta, config.diffusion)
             sigma_rows.append({"delta": delta, "D": config.diffusion,
                                "sigma2_fourier": fourier, "sigma2_curvature": implied})
             curve_rows += [{"delta": delta, "D": config.diffusion, "ell": ell,
@@ -875,9 +871,8 @@ def cmd_spectral(args) -> int:
                         sigma_rows)
     if curve_rows:
         write_s += write_csv(curve_csv, ["delta", "D", "ell", "rate"], curve_rows)
-    else:  # no levels: no rate curve of an earlier run stays beside this manifest
-        with _Writing(curve_csv):
-            remove_output(curve_csv)
+    else:
+        remove_stale([curve_csv])
     write_manifest(out / "manifest.json", asdict(config),
                    {"wall_s": wall_s, "write_s": write_s})
     print(f"wrote {sigma_csv}")

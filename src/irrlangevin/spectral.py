@@ -77,20 +77,20 @@ class FourierObservable:
 
 def fourier_sigma2(observable: FourierObservable, delta: float,
                    diffusion: float) -> float:
-    """Exact asymptotic variance sum over modes for the circle generator."""
+    """Exact asymptotic variance sum over modes for the circle generator.
+    Each term is 4 |c_n|^2 / (D n^2 + (delta / D) delta), which overflows
+    only where the term itself does, at an extreme D or delta."""
     if not math.isfinite(delta):
         raise ParameterError(f"delta must be finite, got {delta}")
     if not (math.isfinite(diffusion) and diffusion > 0):
         raise ParameterError(f"diffusion must be finite and positive, got {diffusion}")
     c = observable.coefficients
     n_max = observable.n_max
+    if not np.any(c[n_max + 1:]):
+        raise ParameterError("observable has no nonconstant Fourier content")
     total = 0.0
     for n in range(1, n_max + 1):
-        total += 4.0 * abs(c[n_max + n]) ** 2 * diffusion / (
-            diffusion**2 * n**2 + delta**2
-        )
-    if total == 0.0:
-        raise ParameterError("observable has no nonconstant Fourier content")
+        total += 4.0 * abs(c[n_max + n]) ** 2 / (diffusion * n**2 + delta / diffusion * delta)
     return total
 
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from irrlangevin.cli import main, reproduce_table
+from irrlangevin.cli import compare_table, main, run_experiment, table_config
 from irrlangevin.drift import make_constant_drift, make_rotational_drift
 from irrlangevin.estimators import (
     asymptotic_variance_estimate,
@@ -184,20 +184,26 @@ def table_runs():
     start = time.perf_counter()
     runs = {}
     for table_id in (1, 2, 3):
-        runs[table_id] = reproduce_table(table_id, scale=1.0,
-                                         seeds=(1, 2, 3, 4, 5), threads=3)
+        rows, _ = run_experiment(table_config(table_id, scale=1.0, seeds=(1, 2, 3, 4, 5)),
+                                 threads=3)
+        runs[table_id] = compare_table(table_id, rows), rows
     runs["elapsed"] = time.perf_counter() - start
     return runs
 
 
+def measured_ratio(table, delta, t):
+    (row,) = [row for row in table if (row["delta"], row["t"]) == (delta, t)]
+    return row["measured_ratio"]
+
+
 def test_criterion_8_table_ratio_reproduction(table_runs):
-    comparison1, rows1 = table_runs[1]
-    comparison2, _ = table_runs[2]
-    comparison3, _ = table_runs[3]
-    r10 = comparison1.cells[(10.0, 295.0)].measured_ratio
-    r100 = comparison1.cells[(100.0, 295.0)].measured_ratio
-    r2 = comparison2.cells[(10.0, 700.0)].measured_ratio
-    r3 = comparison3.cells[(10.0, 700.0)].measured_ratio
+    table1, rows1 = table_runs[1]
+    table2, _ = table_runs[2]
+    table3, _ = table_runs[3]
+    r10 = measured_ratio(table1, 10.0, 295.0)
+    r100 = measured_ratio(table1, 100.0, 295.0)
+    r2 = measured_ratio(table2, 10.0, 700.0)
+    r3 = measured_ratio(table3, 10.0, 700.0)
 
     # figure analogues: tighter confidence bands as delta grows (t = 295)
     widths = {}
@@ -221,7 +227,7 @@ def test_criterion_8_table_ratio_reproduction(table_runs):
     assert r100 >= 25.0
     assert r2 >= 10.0
     assert r3 >= 3.0
-    assert comparison1.all_pass and comparison2.all_pass and comparison3.all_pass
+    assert all(row["ratio_check"] for row in table1 + table2 + table3)
     assert widths[0.0] > widths[10.0] > widths[100.0]
     for da, db in ((0.0, 10.0), (0.0, 100.0), (10.0, 100.0)):
         gap = abs(bands[da][0] - bands[db][0])

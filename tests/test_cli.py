@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -17,9 +18,10 @@ from irrlangevin.cli import (
     ExperimentConfig,
     RESULT_COLUMNS,
     TABLE_SPECS,
+    compare_table,
     main,
-    reproduce_table,
     run_experiment,
+    table_config,
 )
 from irrlangevin.errors import ConfigError, SolverError
 from irrlangevin.sampler import load_trajectory
@@ -180,7 +182,9 @@ def test_reproduce_table_records_its_blowup_in_the_manifest(tmp_path, monkeypatc
     assert main(["reproduce-table", "--table", "1", "--scale", "0.03",
                  "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"] == {"table": 1, "scale": 0.03, "seeds": [1, 2, 3, 4, 5]}
+    # the config is the estimate document that reruns the table
+    assert manifest["config"] == json.loads(json.dumps(table_config(1, 0.03).to_dict()))
+    assert (manifest["table"], manifest["scale"]) == (1, 0.03)
     assert manifest["failure"] == {"delta": 0.0, "step_index": 7, "cell_index": 2,
                                    "t": pytest.approx(7e-3)}
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
@@ -263,15 +267,83 @@ def test_sweep_emits_per_seed_bands(tmp_path):
 
 
 def test_reproduce_table_small_scale(tmp_path):
-    comparison, rows = reproduce_table(1, scale=0.02, seeds=(1, 2, 3))
+    config = table_config(1, scale=0.02, seeds=(1, 2, 3))
+    rows, _ = run_experiment(config)
+    table = compare_table(1, rows)
     spec = TABLE_SPECS[1]
-    assert len(comparison.cells) == len(spec["deltas"]) * len(spec["times"])
+    assert config.checkpoints == tuple(t * 0.02 for t in spec["times"])
+    assert len(table) == len(spec["deltas"]) * len(spec["times"])
     assert len(rows) == len(spec["deltas"]) * len(spec["times"]) * 3
-    for (delta, t), cell in comparison.cells.items():
-        assert cell.measured_value >= 0.0
-        if delta == 0.0:
-            assert cell.ratio_check
-            assert cell.measured_ratio is None
+    for row in table:
+        assert row["measured_value"] >= 0.0
+        if row["delta"] == 0.0:
+            assert row["ratio_check"]
+            assert row["measured_ratio"] is None
+
+
+def hand_built_rows(medians, times, seeds=3):
+    """``results.csv`` rows whose seed median of ``s2m`` at each (delta, t)
+    is ``medians[delta]``: seeds take half, once and three times it."""
+    return [{"delta": delta, "t": t, "s2m": median * factor, "seed": seed}
+            for delta, median in medians.items() for t in times
+            for seed, factor in zip(range(seeds), (3.0, 0.5, 1.0))]
+
+
+def test_compare_table_takes_seed_medians_and_a_third_of_each_reference_ratio(tmp_path):
+    spec = TABLE_SPECS[1]
+    times = spec["times"]
+    table = compare_table(1, hand_built_rows({0.0: 1.0, 10.0: 0.5, 100.0: 0.25}, times))
+    assert [(row["delta"], row["t"]) for row in table] == [
+        (delta, t) for delta in spec["deltas"] for t in times]
+    by_cell = {(row["delta"], row["t"]): row for row in table}
+    for t in times:
+        assert by_cell[(0.0, t)] == {
+            "table": 1, "delta": 0.0, "t": t,
+            "reference_value": spec["reference"][0.0][times.index(t)],
+            "measured_value": 1.0, "reference_ratio": None, "measured_ratio": None,
+            "ratio_check": True}
+        assert by_cell[(10.0, t)]["measured_ratio"] == 2.0
+        assert by_cell[(100.0, t)]["measured_ratio"] == 4.0
+    # t = 25: reference ratio 0.22 / 0.19, and 2 >= 1.158 / 3 passes
+    assert by_cell[(10.0, 25.0)]["reference_ratio"] == 0.22 / 0.19
+    assert by_cell[(10.0, 25.0)]["ratio_check"] is True
+    # t = 100: reference ratio 0.08 / 0.01 = 8, and 2 < 8 / 3 fails
+    assert by_cell[(10.0, 100.0)]["reference_ratio"] == 0.08 / 0.01
+    assert by_cell[(10.0, 100.0)]["ratio_check"] is False
+    assert [row["ratio_check"] for row in table if row["delta"] == 100.0] == [
+        True, False, False, False, False]
+    # the CSV text: empty ratios for delta = 0, booleans as True / False
+    cli.write_csv(tmp_path / "c.csv", list(table[0]), table)
+    lines = (tmp_path / "c.csv").read_text().splitlines()
+    assert lines[0] == ("table,delta,t,reference_value,measured_value,reference_ratio,"
+                        "measured_ratio,ratio_check")
+    assert lines[1] == "1,0.0,25.0,0.22,1.0,,,True"
+    assert lines[7] == "1,10.0,100.0,0.01,0.5,8.0,2.0,False"
+
+
+def test_compare_table_rows_follow_the_checkpoints_of_a_scaled_run():
+    times = table_config(2, scale=0.1).checkpoints
+    table = compare_table(2, hand_built_rows({0.0: 2.0, 10.0: 0.1}, times))
+    assert [row["t"] for row in table] == [*times, *times]
+    assert all(row["measured_ratio"] == 20.0 for row in table[len(times):])
+
+
+def test_a_table_run_removes_the_comparison_files_of_other_tables(tmp_path, monkeypatch):
+    # a comparison file left by another table would sit beside this run's manifest
+    out = tmp_path / "o"
+    flags = ["--scale", "0.02", "--seeds", "1", "--out", str(out)]
+    assert main(["reproduce-table", "--table", "1", *flags]) == 0
+    assert main(["reproduce-table", "--table", "2", *flags]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "results.csv", "table2_comparison.csv"]
+    assert json.loads((out / "manifest.json").read_text())["table"] == 2
+
+    def blow_up(*args, **kwargs):
+        raise cli.non_finite_error(7, 1e-3, 0, 0.0)
+
+    monkeypatch.setattr(cli, "simulate_cells", blow_up)
+    assert main(["reproduce-table", "--table", "3", *flags]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_reproduce_table_cli(tmp_path):
@@ -286,8 +358,22 @@ def test_reproduce_table_cli(tmp_path):
 
 
 def test_reproduce_table_rejects_bad_id():
-    with pytest.raises(ConfigError):
-        reproduce_table(9)
+    with pytest.raises(ConfigError, match="table id must be one of"):
+        table_config(9)
+    for scale in (0.0, 1.5):
+        with pytest.raises(ConfigError, match="scale must lie in"):
+            table_config(1, scale)
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "reproduce-table"])
+def test_an_empty_seeds_flag_exits_2_naming_it(command, tmp_path, solvers, capsys):
+    # an empty list would otherwise fall back to the config's or the default seeds
+    flags = (["--table", "1", "--scale", "0.02"] if command == "reproduce-table" else
+             ["--config", write_config(tmp_path, ou_config(seeds=[1]))])
+    assert main([command, *flags, "--seeds", "", "--out", str(tmp_path / "o")]) == 2
+    assert solvers == []
+    assert capsys.readouterr().err == (
+        "config error: --seeds must be comma-separated integers, got ''\n")
 
 
 def test_ratefn_cli(tmp_path):
@@ -435,6 +521,43 @@ def test_spectral_level_past_the_tilt_bracket_exits_3(tmp_path, capsys):
     message = manifest["failure"]["message"]
     assert manifest["failure"] == {"solve": "delta 0.0", "message": message}
     assert err == f"numeric failure: {message}\n"
+
+
+@pytest.mark.parametrize("diffusion, fourier", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_spectral_at_an_extreme_diffusion_writes_finite_sigma2(tmp_path, diffusion,
+                                                               fourier):
+    # sigma^2(cos x) = 1 / (D + delta^2 / D): no term may overflow on the way
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, spectral_config(deltas=[0.0], diffusion=diffusion,
+                                                 grid=32, ell_grid=[]))
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 0
+    row = (out / "sigma2.csv").read_text().splitlines()[1].split(",")
+    assert float(row[2]) == pytest.approx(fourier, rel=1e-12)
+    assert float(row[3]) == pytest.approx(fourier, rel=0.01)
+
+
+@pytest.mark.parametrize("stub", ["fourier_sigma2", "rate_curvature"])
+def test_a_non_finite_spectral_sigma2_exits_3_naming_its_delta(tmp_path, monkeypatch,
+                                                               capsys, stub):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, spectral_config(deltas=[0.0, 2.0], grid=16, ell_grid=[]))
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 0
+    real = getattr(cli, stub)
+
+    def inf_at_delta_2(f, delta, diffusion):
+        value = real(f, delta, diffusion)
+        if delta != 2.0:
+            return value
+        return (0.0, math.inf) if stub == "rate_curvature" else math.inf
+
+    monkeypatch.setattr(cli, stub, inf_at_delta_2)
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["solve"] == "delta 2.0"
+    assert failure["message"].startswith("sigma^2 at delta 2.0 is not finite")
+    assert err == f"numeric failure: {failure['message']}\n"
 
 
 def test_spectral_without_levels_removes_an_earlier_rate_curve(tmp_path):
@@ -640,6 +763,7 @@ BAD_INPUTS = {
     "constant_vector_wrong_length": (
         "ratefn", rate_config(drift={"kind": "constant", "vector": [1.0, 2.0]}), []),
     "seeds_flag_not_int": ("estimate", ou_config(), ["--seeds", "a,b"]),
+    "seeds_flag_empty": ("estimate", ou_config(), ["--seeds", ""]),
     "nan_diffusion": ("estimate", ou_config(diffusion=NAN), []),
     "spectral_zero_diffusion": ("spectral", spectral_config(diffusion=0), []),
     "fractional_seed": ("estimate", ou_config(seeds=[1.5]), []),
@@ -716,6 +840,7 @@ NAMED_IN_MESSAGE = {
     "repeated_delta": "delta 1.0 is repeated; each delta may appear once",
     "repeated_seed": "seed 7 is repeated; each seed may appear once",
     "seeds_flag_repeated": "seed 5 is repeated",
+    "seeds_flag_empty": "--seeds must be comma-separated integers, got ''",
     "repeated_checkpoint": "checkpoint 20.0 is repeated; each checkpoint may appear once",
     "spectral_repeated_delta": "delta 1.0 is repeated; each delta may appear once",
 }

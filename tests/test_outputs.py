@@ -73,6 +73,21 @@ def test_a_rerun_writes_new_files_with_the_bytes_of_a_fresh_run(command, tmp_pat
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_the_config_in_a_manifest_reruns_the_same_data_files(command, tmp_path):
+    # reproduce-table's config is the estimate document of its bundled table
+    first, again = tmp_path / "first", tmp_path / "again"
+    run(command, tmp_path, first)
+    config = tmp_path / "manifest_config.json"
+    config.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["config"]))
+    rerun, names = command, COMMANDS[command][2]
+    if command == "reproduce-table":
+        rerun, names = "estimate", ["results.csv"]
+    assert main([rerun, "--config", str(config), "--out", str(again)]) == 0
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_manifest_records_the_seconds_spent_writing_data_files(command, tmp_path):
     out = tmp_path / "o"
     start = time.perf_counter()

@@ -80,6 +80,20 @@ def test_sigma2_rejects_constant_observable():
         fourier_sigma2(FourierObservable(np.array([0.0, 1.0, 0.0])), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("delta, diffusion, expected", [
+    (0.0, 1e300, 1e-300), (1.0, 1e300, 1e-300), (0.0, 1e-300, 1e300),
+    (1e-200, 1e-300, 1e100), (1e300, 1e300, 5e-301), (1e200, 1.0, 0.0),
+])
+def test_sigma2_at_extreme_inputs_neither_overflows_nor_underflows_early(
+        delta, diffusion, expected):
+    # 1 / (D + delta^2 / D) for cos x: delta^2 alone would underflow in the
+    # fourth case and overflow in the last two; the last value underflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = fourier_sigma2(COS, delta, diffusion)
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # generator spectrum
 
