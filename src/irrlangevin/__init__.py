@@ -12,12 +12,7 @@ Subpackages:
 * ``cli``        -- config-driven experiment runner
 """
 
-from .drift import (
-    J2,
-    check_invariance,
-    make_constant_drift,
-    make_rotational_drift,
-)
+from .drift import J2, Drift, check_invariance
 from .errors import (
     ConfigError,
     DimensionError,

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .drift import check_invariance, make_constant_drift, make_rotational_drift
+from .drift import Drift, check_invariance, unit_parts
 from .errors import ConfigError, ParameterError, PropagationError, SolverError
 from .estimators import (
     asymptotic_variance_estimate, batch_count_schedule, batch_means, get_observable,
@@ -201,25 +201,25 @@ def build_drift(kind: str, potential, delta: float, vector=None):
     """The drift a config names: ``rotational`` delta J2 grad U,
     ``constant`` delta * vector (all ones by default), or None for ``none``.
 
-    A constant drift preserves the Gibbs law only where U is flat along its
-    vector, so it is rejected unless check_invariance finds c0 . grad U zero
-    at a fixed set of points."""
-    if kind == "rotational":
-        return make_rotational_drift(potential, delta)
-    if kind == "constant":
-        vector = (1.0,) * potential.dimension if vector is None else vector
-        _check(len(vector) == potential.dimension,
-               f"drift.vector has {len(vector)} entries, potential "
-               f"{potential.name!r} has dimension {potential.dimension}")
-        drift = make_constant_drift(vector, delta)
-        points = np.random.default_rng(0).uniform(-4.0, 4.0, (4, potential.dimension))
-        defect = check_invariance(drift, potential, points)
-        _check(defect <= 1e-6 * (1.0 + float(np.max(np.abs(drift.vector)))),
-               f"constant drift {list(vector)} does not preserve the Gibbs law of "
-               f"{potential.name!r}: U is not flat along it (|2 c0 . grad U| reaches "
-               f"{defect:.3g})")
+    A rotational drift needs a potential in 2 dimensions.  A constant drift
+    preserves the Gibbs law only where U is flat along its vector, so it is
+    rejected unless check_invariance finds c0 . grad U zero at a fixed set of
+    points."""
+    if kind == "none":
+        return None
+    if kind == "constant" and vector is None:
+        vector = (1.0,) * potential.dimension
+    drift = Drift(delta, vector)
+    if vector is None:
+        unit_parts(drift, potential)  # a potential not in 2 dimensions raises
         return drift
-    return None
+    points = np.random.default_rng(0).uniform(-4.0, 4.0, (4, potential.dimension))
+    defect = check_invariance(drift, potential, points)
+    _check(defect <= 1e-6 * (1.0 + float(np.max(np.abs(drift.vector)))),
+           f"constant drift {list(vector)} does not preserve the Gibbs law of "
+           f"{potential.name!r}: U is not flat along it (|2 c0 . grad U| reaches "
+           f"{defect:.3g})")
+    return drift
 
 
 @dataclass(frozen=True)
@@ -540,6 +540,10 @@ def _batch_rows(config: ExperimentConfig,
     return rows, timing
 
 
+def _check_threads(threads: int) -> None:
+    _check(threads >= 1, f"--threads must be >= 1, got {threads}")
+
+
 def run_experiment(config: ExperimentConfig,
                    threads: int = 1) -> tuple[list[dict], list[dict]]:
     """Rows for the full (delta, seed, checkpoint) grid, in deterministic
@@ -547,7 +551,7 @@ def run_experiment(config: ExperimentConfig,
     ``sampler_timing`` entry of each lockstep batch (``lockstep_batches``).
     The batches run in a pool of at most ``threads`` workers and never more
     workers than batches; one batch starts no pool."""
-    _check(threads >= 1, f"--threads must be >= 1, got {threads}")
+    _check_threads(threads)
     batches = config.lockstep_batches()
     if threads > 1 and len(batches) > 1:
         workers = min(threads, len(batches))
@@ -771,6 +775,7 @@ def cmd_estimate(args) -> int:
     """estimate writes every (delta, seed, checkpoint) row to results.csv;
     sweep writes the confidence bands of the same rows, grouped per seed,
     to sweep.csv."""
+    _check_threads(args.threads)
     config = _experiment_config(args)
     out = _out_dir(args)
     name, columns = "results.csv", RESULT_COLUMNS
@@ -792,6 +797,7 @@ def cmd_reproduce_table(args) -> int:
     """``estimate`` of ``table_config``, with ``table`` and ``scale`` beside
     the manifest's ``config``, plus this table's ``compare_table`` CSV; the
     other tables' comparison CSVs are removed."""
+    _check_threads(args.threads)
     seeds = TABLE_SEEDS if args.seeds is None else _seed_list(args.seeds)
     config = table_config(args.table, args.scale, seeds)
     out = _out_dir(args)
@@ -854,9 +860,9 @@ def cmd_spectral(args) -> int:
             try:
                 implied = rate_curvature(samples, delta, config.diffusion)[1]
                 fourier = fourier_sigma2(SPECTRAL_OBSERVABLE, delta, config.diffusion)
-                if not (math.isfinite(fourier) and math.isfinite(implied)):
-                    raise SolverError(f"sigma^2 at delta {delta} is not finite (Fourier "
-                                      f"{fourier}, curvature {implied})")
+                if not all(math.isfinite(v) and v > 0 for v in (fourier, implied)):
+                    raise SolverError(f"sigma^2 at delta {delta} is not finite and "
+                                      f"positive (Fourier {fourier}, curvature {implied})")
                 rates = observable_rate(samples, delta, config.diffusion,
                                         config.ell_grid) if config.ell_grid else ()
             except SolverError as exc:

@@ -200,8 +200,8 @@ def grid_points(size: int, dims: int) -> np.ndarray:
 
 
 def field_on_grid(vector_field, p: GridDensity) -> np.ndarray:
-    """Sample a vector field (a callable such as ``drift.base_eval`` or
-    ``potential.grad``) on the grid of ``p``, returning shape (d, *grid)."""
+    """Sample a vector field (a callable such as ``potential.grad``) on the
+    grid of ``p``, returning shape (d, *grid)."""
     return np.moveaxis(np.asarray(vector_field(p.points()), dtype=float), -1, 0)
 
 
@@ -418,15 +418,15 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
     Solves the gauge equation for b = -grad U + C, takes J_C from the
     square-form increment (1/(4D)) int |grad psi_C - grad U|^2 dmu, and
     cross-computes the total rate through the independent three-term
-    decomposition, reporting the mismatch.  C is a ``RotationalDrift`` of
-    ``potential`` or a ``ConstantDrift`` (else a ParameterError); warns when
-    a constant C breaks the invariance condition C0 . grad U = 0 at a node.
+    decomposition, reporting the mismatch.  C is a ``Drift`` running with
+    ``potential`` (else a ParameterError); warns when a constant C breaks the
+    invariance condition C0 . grad U = 0 at a node.
     """
     _check_diffusion(diffusion)
     if drift is None:
         raise ParameterError("rate_irreversible needs a drift; I_0 is its i0 at delta 0")
     defect = check_invariance(drift, potential, p.points())
-    c0 = field_on_grid(drift.base_eval, p)
+    c0 = field_on_grid(lambda x: drift.base_eval(potential, x), p)
     if defect > 1e-6 * (1.0 + float(np.max(np.abs(c0)))):
         warnings.warn(
             f"drift field violates div C = 2 C . grad U (defect {defect:.3e}); "

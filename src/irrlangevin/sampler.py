@@ -27,15 +27,15 @@ a flow (``bimodal2``, ``threewell``) the rotation stays in the Euler step.
 
 Every supported drift enters the update in one affine form,
 C(Z) - grad U(Z) = grad U(Z) M + c plus the flow (``_affine_drift``): no
-drift (M = -I), a ``ConstantDrift`` (M = -I, c = delta c0) and a
-``RotationalDrift`` of the sampled potential (M = -I and the flow, or
-M = delta J2^T - I without one).  Any other drift is rejected before a normal
-is drawn.  Each substep is then one product with M h, two in-place additions
-and either one gradient call or, when the cells rotate by a flow, one flow
-call.  The flow advances the states in place and hands back grad U at them,
-so a rotating batch calls the gradient only once per noise chunk; on
-``bimodal1`` and ``torus-cosine`` a substep evaluates V' twice, not three
-times.
+drift (M = -I), a constant ``Drift`` (M = -I, c = delta c0) and a
+rotational one, delta J2 grad U of the sampled potential (M = -I and the
+flow, or M = delta J2^T - I without one).  Any other drift is rejected
+before a normal is drawn.  Each substep is then one product with M h, two
+in-place additions and either one gradient call or, when the cells rotate
+by a flow, one flow call.  The flow advances the states in place and hands
+back grad U at them, so a rotating batch calls the gradient only once per
+noise chunk; on ``bimodal1`` and ``torus-cosine`` a substep evaluates V'
+twice, not three times.
 """
 
 from __future__ import annotations
@@ -180,9 +180,8 @@ def simulate_cells(
     """Advance ``len(drifts)`` cells in lockstep.
 
     Each cell couples one drift with one normal stream; all cells share the
-    potential, diffusion, step size and substep count.  A drift is None, a
-    ``ConstantDrift`` or a ``RotationalDrift`` of ``potential`` (see
-    ``_affine_drift``); any other is a ParameterError.  Returns
+    potential, diffusion, step size and substep count.  A drift is None or a
+    ``Drift`` (see ``_affine_drift``); any other is a ParameterError.  Returns
     the full state history ``(n_cells, n_steps + 1, d)`` at the recording
     grid 0, dt, 2 dt, ..., or, when ``observable`` is given, the series
     ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states; f is

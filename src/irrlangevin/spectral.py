@@ -177,7 +177,12 @@ class ScaledCgf:
         return _perron(_add_potential(self._base.copy(), float(beta), self.f))[0]
 
     def jet(self, beta: float) -> tuple[float, float, float]:
-        """lambda, lambda' and lambda'' at beta from one Perron pair (lambda, r).
+        """lambda, lambda' and lambda'' at beta; see ``_jet``."""
+        return self._jet(beta)[:3]
+
+    def _jet(self, beta: float) -> tuple[float, float, float, float]:
+        """lambda, lambda' and lambda'' at beta from one Perron pair (lambda, r),
+        and the sum of the absolute values of the terms of lambda''.
 
         At beta = 0 the pair is known, lambda = 0 and r = 1, because the rows
         of the generator sum to zero; any other beta takes one eigensolve.
@@ -185,7 +190,9 @@ class ScaledCgf:
         K^T [l; 0] = e_{N+1} gives the left eigenvector, with <l, r> = 1, so
         lambda' = <l, f r> (Hellmann-Feynman); K [r'; 0] = [(lambda' - f) r; 0]
         gives r', and lambda'' = 2 <l, (f - lambda') r'>.  At beta = 0, l is
-        the invariant law pi and r' solves the Poisson equation for f - pi(f)."""
+        the invariant law pi and r' solves the Poisson equation for f - pi(f).
+        An overflow in these products is left to the caller's finiteness
+        check, without a numpy warning."""
         matrix = _add_potential(self._base.copy(), float(beta), self.f)
         lam, r = _perron(matrix) if beta else (0.0, np.ones(len(self.f)))
         n = len(r)
@@ -195,7 +202,10 @@ class ScaledCgf:
         left = np.linalg.solve(border.T, np.eye(1, n + 1, n)[0])[:n]
         slope = float(left @ (self.f * r))
         dr = np.linalg.solve(border, np.append((slope - self.f) * r, 0.0))[:n]
-        return lam, slope, 2.0 * float(left @ ((self.f - slope) * dr))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (self.f - slope) * dr
+            curvature = 2.0 * float(left @ terms)
+            return lam, slope, curvature, 2.0 * float(np.abs(left) @ np.abs(terms))
 
 
 def _solve_tilt(scgf: ScaledCgf, ell: float) -> tuple[float, float]:
@@ -285,11 +295,17 @@ def rate_curvature(f_samples, drift, diffusion: float) -> tuple[float, float]:
     I(ell) ~ kappa (ell - pi(f))^2 near the mean pi(f) = lambda'(0) (half the
     literal second derivative).  The Legendre identity
     I''(lambda'(0)) = 1/lambda''(0) gives kappa = 1/(2 lambda''(0)) and the
-    implied variance lambda''(0), from one jet at beta = 0."""
+    implied variance lambda''(0), from one jet at beta = 0.  A lambda''(0)
+    within N eps of the absolute sum of its terms is lost to cancellation
+    (at an extreme Peclet number, D 1e-300 with delta 1) and is a SolverError."""
     scgf = ScaledCgf(f_samples, drift, diffusion)
     if np.ptp(scgf.f) == 0:
         raise ParameterError("observable is constant")
-    sigma2 = scgf.jet(0.0)[2]
+    sigma2, magnitude = scgf._jet(0.0)[2:]
     if not sigma2 > 0:
         raise SolverError("non-positive curvature at the mean")
+    if math.isfinite(sigma2) and sigma2 <= len(scgf.f) * np.finfo(float).eps * magnitude:
+        raise SolverError(f"curvature at the mean ({sigma2:.3g}) is lost to "
+                          f"cancellation: its terms sum to {magnitude:.3g} in "
+                          f"absolute value")
     return 0.5 / sigma2, sigma2

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from irrlangevin.cli import compare_table, main, run_experiment, table_config
-from irrlangevin.drift import make_constant_drift, make_rotational_drift
+from irrlangevin.drift import Drift
 from irrlangevin.estimators import (
     asymptotic_variance_estimate,
     batch_count_schedule,
@@ -53,7 +53,7 @@ def test_criterion_1_circle_closed_form():
     closed = circle_rate_closed_form(p, 1.0)
     # analytic elliptic integrals: (1 - sqrt(1 - a^2))/8 + (1/2)(1 - sqrt(1 - a^2))
     analytic = (1 - np.sqrt(0.75)) / 8 + 0.5 * (1 - np.sqrt(0.75))
-    pde = rate_irreversible(p, CIRCLE_U0, make_constant_drift([1.0], 1.0), 0.5)
+    pde = rate_irreversible(p, CIRCLE_U0, Drift(1.0, [1.0]), 0.5)
     elapsed = time.perf_counter() - start
     report(1, f"closed form {closed:.7f} vs analytic {analytic:.7f}, "
               f"PDE route {pde.i_c:.7f} ({elapsed:.2f}s)")
@@ -66,11 +66,11 @@ def test_criterion_1_circle_closed_form():
 def test_criterion_2_quadratic_law():
     start = time.perf_counter()
     p = GridDensity.from_potential(TORUS, 0.5, 128, shift=(1.0, 0.0))
-    k = rate_irreversible(p, TORUS, make_rotational_drift(TORUS, 1.0), 0.5,
+    k = rate_irreversible(p, TORUS, Drift(1.0), 0.5,
                           compute_quadratic=True).k
     ratios = []
     for delta in (0.5, 1.0, 2.0, 4.0):
-        rep = rate_irreversible(p, TORUS, make_rotational_drift(TORUS, delta), 0.5)
+        rep = rate_irreversible(p, TORUS, Drift(delta), 0.5)
         ratios.append(rep.j_c / delta**2)
     spread = (max(ratios) - min(ratios)) / k
     elapsed = time.perf_counter() - start
@@ -84,7 +84,7 @@ def test_criterion_2_quadratic_law():
 
 def test_criterion_3_degeneracy_iff():
     start = time.perf_counter()
-    drift = make_rotational_drift(TORUS, 1.0)
+    drift = Drift(1.0)
     degenerate = GridDensity.from_potential(TORUS, 0.25, 128)  # p = exp(-4U)
     j_degenerate = rate_irreversible(degenerate, TORUS, drift, 0.5).j_c
     shifted = GridDensity.from_potential(TORUS, 0.5, 128, shift=(1.0, 0.0))
@@ -102,7 +102,7 @@ def test_criterion_4_invariant_measure_zero_rate():
     p = GridDensity.from_potential(TORUS, 0.5, 128)  # e^{-2U} at D = 1/2
     values = {}
     for delta in (0.0, 1.0, 10.0):
-        drift = make_rotational_drift(TORUS, delta)
+        drift = Drift(delta)
         values[delta] = rate_irreversible(p, TORUS, drift, 0.5).i_c
     elapsed = time.perf_counter() - start
     report(4, "I_C(gibbs) = " + ", ".join(
@@ -127,7 +127,7 @@ def test_criterion_5_gap_invariance_vs_variance_decrease():
     n_steps = int(round(horizon / dt))
     for delta in (0.0, 2.0):
         series = simulate_cells(
-            CIRCLE_U0, [make_constant_drift([1.0], delta)] * streams,
+            CIRCLE_U0, [Drift(delta, [1.0])] * streams,
             1.0, dt, n_steps, [(0.0,)] * streams,
             [NormalStream(901 + int(delta), k) for k in range(streams)],
             observable=lambda z: np.cos(z[..., 0]),
@@ -249,7 +249,7 @@ def test_criterion_9_ci_coverage():
     coverage, means = {}, {}
     for i, (delta, target) in enumerate(((0.0, 0.2), (10.0, chain_sumsq))):
         assert stable_substeps(delta, dt, split=True) == 1
-        drift = make_rotational_drift(quad, delta) if delta else None
+        drift = Drift(delta) if delta else None
         series = simulate_cells(
             quad, [drift] * replications, 0.1, dt, n_steps,
             [(0.0, 0.0)] * replications,

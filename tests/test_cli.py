@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,13 @@ def test_readme_documents_the_results_header():
     headers = [line for line in readme.splitlines()
                if line.startswith(RESULT_COLUMNS[0] + ",")]
     assert headers == [",".join(RESULT_COLUMNS)]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_seeds_flag_overrides_config(tmp_path):
@@ -560,6 +568,42 @@ def test_a_non_finite_spectral_sigma2_exits_3_naming_its_delta(tmp_path, monkeyp
     assert err == f"numeric failure: {failure['message']}\n"
 
 
+@pytest.mark.parametrize("case", ["overflow", "infinite", "cancellation", "fourier_zero"])
+def test_a_spectral_sigma2_that_is_not_finite_and_positive_exits_3(tmp_path, monkeypatch,
+                                                                  capsys, case):
+    # D 1e-310 at delta 0 overflows the jet, D 3e-308 makes its curvature inf
+    # and D 1e-300 at delta 1 cancels it; an underflowed Fourier sum of 0.0
+    # is not a variance either
+    grid, delta, diffusion = {"overflow": (16, 0.0, 1e-310),
+                              "infinite": (32, 0.0, 3e-308)}.get(case, (32, 1.0, 1e-300))
+    if case == "fourier_zero":
+        diffusion = 1.0
+        monkeypatch.setattr(cli, "fourier_sigma2", lambda f, delta, diffusion: 0.0)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, spectral_config(deltas=[delta], diffusion=diffusion,
+                                                 grid=grid, ell_grid=[]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectral", "--config", cfg, "--out", str(out)]) == 3
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["solve"] == f"delta {delta}"
+    assert capsys.readouterr().err == f"numeric failure: {failure['message']}\n"
+    assert failure["message"].startswith({
+        "overflow": "non-positive curvature at the mean",
+        "infinite": "sigma^2 at delta 0.0 is not finite and positive (Fourier 3.33",
+        "cancellation": "curvature at the mean (8.1e-15) is lost to cancellation",
+        "fourier_zero": "sigma^2 at delta 1.0 is not finite and positive (Fourier 0.0",
+    }[case])
+
+
+def test_reproduce_table_with_zero_threads_creates_no_output(tmp_path, capsys, solvers):
+    out = tmp_path / "o"
+    assert main(["reproduce-table", "--table", "1", "--scale", "0.03", "--threads", "0",
+                 "--out", str(out)]) == 2
+    assert solvers == [] and not out.exists()
+    assert capsys.readouterr().err == "config error: --threads must be >= 1, got 0\n"
+
+
 def test_spectral_without_levels_removes_an_earlier_rate_curve(tmp_path):
     out = tmp_path / "o"
     for levels, files in (([0.3], ["manifest.json", "rate_curve.csv", "sigma2.csv"]),
@@ -822,6 +866,7 @@ BAD_INPUTS = {
     "repeated_checkpoint": (
         "estimate", ou_config(checkpoints=[20.0, 10.0, 20.0]), []),
     "spectral_repeated_delta": ("spectral", spectral_config(deltas=[1.0, 1.0]), []),
+    "threads_zero": ("estimate", ou_config(), ["--threads", "0"]),
 }
 #: What the message of a BAD_INPUTS case must name, where it is not just a value.
 NAMED_IN_MESSAGE = {
@@ -843,6 +888,7 @@ NAMED_IN_MESSAGE = {
     "seeds_flag_empty": "--seeds must be comma-separated integers, got ''",
     "repeated_checkpoint": "checkpoint 20.0 is repeated; each checkpoint may appear once",
     "spectral_repeated_delta": "delta 1.0 is repeated; each delta may appear once",
+    "threads_zero": "--threads must be >= 1, got 0",
 }
 
 
@@ -853,6 +899,7 @@ def test_bad_input_exits_2_before_any_solve(case, tmp_path, solvers, capsys):
     cfg = write_config(tmp_path, json.loads(json.dumps(doc).replace("{tmp}", str(tmp_path))))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
     assert solvers == []
+    assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert NAMED_IN_MESSAGE.get(case, "") in err

@@ -4,7 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irrlangevin.drift import make_constant_drift
+from irrlangevin.drift import Drift
 from irrlangevin.errors import ParameterError
 from irrlangevin.estimators import (
     asymptotic_variance_estimate,
@@ -23,7 +23,7 @@ def circle_cos_series(delta, diffusion=1.0, horizon=2000.0, dt=0.01,
     """cos(X_t) series for dX = delta dt + sqrt(2D) dW; the linear SDE makes
     the Euler chain exact in law at any dt."""
     potential = get_potential("torus-zero", dim=1)
-    drift = make_constant_drift([1.0], delta)
+    drift = Drift(delta, [1.0])
     n_steps = int(round(horizon / dt))
     return simulate_cells(
         potential, [drift] * streams, diffusion, dt, n_steps,

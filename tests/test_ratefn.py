@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from irrlangevin.drift import make_constant_drift, make_rotational_drift
+from irrlangevin.drift import Drift
 from irrlangevin.errors import DimensionError, ParameterError
 from irrlangevin.potentials import get_potential
 from irrlangevin.ratefn import (
@@ -38,8 +38,8 @@ def shifted_density(size=128):
 
 def reversible_rate(p, potential, diffusion):
     """I_0 of ``p``: the ``i0`` of ``rate_irreversible`` at drift strength 0."""
-    drift = (make_rotational_drift(potential, 0.0) if potential.dimension == 2
-             else make_constant_drift([1.0] * potential.dimension, 0.0))
+    drift = (Drift(0.0) if potential.dimension == 2
+             else Drift(0.0, [1.0] * potential.dimension))
     return rate_irreversible(p, potential, drift, diffusion).i0
 
 
@@ -64,7 +64,7 @@ def test_density_requires_positivity():
 @pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan, np.inf])
 def test_bad_diffusion_is_a_parameter_error(diffusion):
     p = cosine_density(32)
-    drift = make_constant_drift([1.0], 1.0)
+    drift = Drift(1.0, [1.0])
     calls = [
         lambda: GridDensity.from_potential(CIRCLE_U0, diffusion, 32),
         lambda: reversible_rate(p, CIRCLE_U0, diffusion),
@@ -280,8 +280,8 @@ def test_gauge_solve_fft_budget(monkeypatch):
 
 def gibbs_drift(p, delta=2.0):
     """-grad U + delta C0 of the 2-torus cosine potential on the grid of p."""
-    drift = make_rotational_drift(TORUS, delta)
-    return -field_on_grid(TORUS.grad, p) + delta * field_on_grid(drift.base_eval, p)
+    c0 = field_on_grid(lambda x: Drift(delta).base_eval(TORUS, x), p)
+    return -field_on_grid(TORUS.grad, p) + delta * c0
 
 
 def test_gauge_solve_on_a_gibbs_density_takes_few_iterations():
@@ -353,7 +353,7 @@ def test_circle_closed_form_reference_value():
 
 def test_circle_closed_form_matches_gauge_solve():
     p = cosine_density(512)
-    drift = make_constant_drift([1.0], 1.0)
+    drift = Drift(1.0, [1.0])
     report = rate_irreversible(p, CIRCLE_U0, drift, 0.5, compute_quadratic=True)
     assert report.i_c == pytest.approx(circle_rate_closed_form(p, 1.0), abs=1e-6)
     # quadratic coefficient: (1/2)(1 - sqrt(1 - a^2))
@@ -363,7 +363,7 @@ def test_circle_closed_form_matches_gauge_solve():
 
 def test_quadratic_coefficient_circle_closed_form():
     p = cosine_density(256)
-    k = quadratic_coefficient(p, CIRCLE_U0, make_constant_drift([1.0], 1.0), 0.5)
+    k = quadratic_coefficient(p, CIRCLE_U0, Drift(1.0, [1.0]), 0.5)
     assert k == pytest.approx(0.5 * (1.0 - np.sqrt(0.75)), abs=1e-9)
 
 
@@ -374,7 +374,7 @@ def test_quadratic_coefficient_circle_closed_form():
 def test_invariant_density_rate_zero_for_all_deltas():
     p = GridDensity.from_potential(TORUS, 0.5, 64)
     for delta in (0.0, 1.0, 10.0):
-        drift = make_rotational_drift(TORUS, delta)
+        drift = Drift(delta)
         report = rate_irreversible(p, TORUS, drift, 0.5)
         assert report.i_c <= 1e-8, delta
 
@@ -382,7 +382,7 @@ def test_invariant_density_rate_zero_for_all_deltas():
 def test_degenerate_density_function_of_potential():
     # p = h(U) with C0 = J grad U satisfies div(p C0) = 0: no rate increase
     p = GridDensity.from_potential(TORUS, 0.25, 64)  # h(U) = exp(-4U)
-    drift = make_rotational_drift(TORUS, 1.0)
+    drift = Drift(1.0)
     report = rate_irreversible(p, TORUS, drift, 0.5, compute_quadratic=True)
     assert report.j_c <= 1e-8
     assert report.k <= 1e-8
@@ -391,7 +391,7 @@ def test_degenerate_density_function_of_potential():
 
 def test_shifted_density_strictly_positive_increment():
     report = rate_irreversible(shifted_density(128), TORUS,
-                               make_rotational_drift(TORUS, 1.0), 0.5)
+                               Drift(1.0), 0.5)
     assert report.j_c > 1e-4
     assert report.j_c == pytest.approx(GOLDEN_SHIFTED_J, abs=1e-9)
     assert report.i0 == pytest.approx(GOLDEN_SHIFTED_I0, abs=1e-9)
@@ -401,7 +401,7 @@ def test_shifted_density_golden_value_grid_independent():
     values = []
     for size in (64, 128, 256):
         report = rate_irreversible(shifted_density(size), TORUS,
-                                   make_rotational_drift(TORUS, 1.0), 0.5)
+                                   Drift(1.0), 0.5)
         values.append(report.j_c)
     assert np.max(np.abs(np.diff(values))) <= 1e-11
     assert values[-1] == pytest.approx(GOLDEN_SHIFTED_J, abs=1e-10)
@@ -409,9 +409,9 @@ def test_shifted_density_golden_value_grid_independent():
 
 def test_quadratic_law_in_delta():
     p = shifted_density(128)
-    k = quadratic_coefficient(p, TORUS, make_rotational_drift(TORUS, 1.0), 0.5)
+    k = quadratic_coefficient(p, TORUS, Drift(1.0), 0.5)
     for delta in (0.5, 1.0, 2.0, 4.0):
-        drift = make_rotational_drift(TORUS, delta)
+        drift = Drift(delta)
         report = rate_irreversible(p, TORUS, drift, 0.5)
         assert report.j_c / delta**2 == pytest.approx(k, rel=1e-6), delta
 
@@ -419,15 +419,15 @@ def test_quadratic_law_in_delta():
 def test_lemma_decomposition_consistency():
     p = shifted_density(64)
     for delta in (0.0, 1.0, 3.0):
-        drift = make_rotational_drift(TORUS, delta)
+        drift = Drift(delta)
         report = rate_irreversible(p, TORUS, drift, 0.5)
         assert report.lemma_mismatch <= 1e-8, delta
 
 
 def test_monotone_increase_random_densities():
-    drift = make_rotational_drift(TORUS, 1.0)
+    drift = Drift(1.0)
     pts = grid_points(64, 2)
-    c = field_on_grid(drift.base_eval, GridDensity.uniform(64, 2))
+    c = field_on_grid(lambda x: drift.base_eval(TORUS, x), GridDensity.uniform(64, 2))
     for seed in range(50):
         p = random_smooth_density(64, dims=2, seed=seed, amplitude=0.6)
         report = rate_irreversible(p, TORUS, drift, 0.5)
@@ -440,7 +440,7 @@ def test_monotone_increase_random_densities():
 def test_rate_nonnegative_and_ordered():
     # I_C >= I_0 pointwise (rate increase under irreversibility)
     p = random_smooth_density(64, dims=2, seed=7)
-    drift = make_rotational_drift(TORUS, 2.0)
+    drift = Drift(2.0)
     report = rate_irreversible(p, TORUS, drift, 0.5)
     assert report.i_c >= report.i0 >= 0.0
 
@@ -451,7 +451,7 @@ def test_grid_convergence_on_rough_density():
     def rough(pts):
         return 1.0 + 0.5 * np.abs(np.sin(pts[..., 0])) ** 3
 
-    drift = make_constant_drift([1.0], 1.0)
+    drift = Drift(1.0, [1.0])
     reference = None
     errors = []
     fine = GridDensity.from_values(rough(grid_points(16384, 1)))
@@ -468,12 +468,10 @@ def test_nonconforming_drift_warns():
     # U = 0.5 cos x + 0.5 cos y is not flat along x, so c0 = [1, 0] breaks invariance
     p = random_smooth_density(32, dims=2, seed=1)
     with pytest.warns(UserWarning):
-        rate_irreversible(p, TORUS, make_constant_drift([1.0, 0.0]), 0.5)
+        rate_irreversible(p, TORUS, Drift(1.0, [1.0, 0.0]), 0.5)
 
 
 @pytest.mark.parametrize("drift", [
-    pytest.param(make_rotational_drift(get_potential("quadratic"), 1.0),
-                 id="rotational_of_another_potential"),
     pytest.param(lambda pts: np.asarray(pts, dtype=float), id="radial_callable"),
     pytest.param(None, id="none"),
 ])

@@ -258,6 +258,24 @@ def test_rate_curvature_is_the_legendre_curvature_at_lambda_prime(case):
     assert kappa == pytest.approx(1.0 / (2.0 * sigma2), rel=1e-12)
 
 
+@pytest.mark.parametrize("diffusion", [1e-300, 1e-310])
+def test_a_curvature_lost_to_cancellation_is_a_solver_error(diffusion):
+    # at D 1e-300 the terms of lambda''(0) cancel to 8.1e-15 against an exact
+    # 1e-300; at D 1e-10 they do not, and the curvature is sigma^2
+    with pytest.raises(SolverError, match="lost to cancellation"):
+        rate_curvature(cos_samples(32), 1.0, diffusion)
+    assert rate_curvature(cos_samples(32), 1.0, 1e-10)[1] == pytest.approx(1e-10, rel=0.02)
+
+
+def test_an_overflowing_jet_warns_nothing():
+    # grid 16, delta 0, D 1e-310: the products of lambda''(0) overflow, which
+    # the curvature check reports as a SolverError without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-positive curvature"):
+            rate_curvature(cos_samples(16), 0.0, 1e-310)
+
+
 @pytest.mark.parametrize("diffusion", [-1.0, 0.0, np.nan, np.inf])
 def test_bad_diffusion_is_a_parameter_error(monkeypatch, diffusion):
     forbid_eigensolves(monkeypatch)
