@@ -9,7 +9,9 @@ Subpackages:
 * ``ratefn``     -- empirical-measure rate functionals on periodic grids
 * ``spectral``   -- exact circle variances; principal eigenvalues and
                     observable rate functions on the circle
-* ``cli``        -- config-driven experiment runner
+* ``cli``        -- config-driven experiment runner; ``simulate`` saves a
+                    trajectory as a plain ``.npy``, whose provenance is the
+                    run's ``manifest.json``
 """
 
 from .drift import J2, Drift, check_invariance
@@ -40,7 +42,7 @@ from .ratefn import (
     solve_gauge_field,
 )
 from .rng import NORMAL_ALGORITHM, NormalStream
-from .sampler import load_trajectory, save_trajectory, simulate_cells
+from .sampler import simulate_cells
 from .spectral import (
     FourierObservable,
     ScaledCgf,

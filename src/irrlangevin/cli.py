@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-simulate        integrate one trajectory and write it to disk
+simulate        save the states of estimate's cell (0, 0) as a .npy file
 estimate        batch-means reports for a (delta, seed, checkpoint) grid
 sweep           confidence-band time series per delta (figure analogues)
 reproduce-table rerun a bundled reference-variance table and compare ratios
@@ -10,9 +10,10 @@ ratefn          rate-functional report for a grid density
 spectral        circle diagnostics: sigma^2 tables and rate curves
 
 All outputs are deterministic functions of (config, seeds): repeated runs
-produce byte-identical data files; only the manifest carries a timestamp and
-wall times.  A rerun replaces each regular output file with a new file
-(``sampler.open_output``).
+produce byte-identical data files; only the manifest, each run's one
+provenance record, carries a timestamp and wall times.  Every sampling
+command samples through ``_sample``.  A rerun replaces each regular output
+file with a new file (``sampler.open_output``).
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 
@@ -41,8 +42,8 @@ from .potentials import get_potential
 from .ratefn import GridDensity, rate_irreversible
 from .rng import NORMAL_ALGORITHM, NormalStream, splitmix64
 from .sampler import (
-    NOISE_CHUNK, non_finite_error, open_output, remove_output, save_trajectory,
-    simulate_cells, stable_substeps,
+    NOISE_CHUNK, non_finite_error, open_output, remove_output, simulate_cells,
+    stable_substeps,
 )
 from .spectral import (
     MAX_GRID, FourierObservable, check_levels, fourier_sigma2, observable_rate,
@@ -186,7 +187,10 @@ class _Fields:
         if isinstance(self.doc.get("potential"), str):
             return self("potential", str), {}
         spec = self.section("potential")
-        return spec("name", str), spec("params", dict, {})
+        name, params = spec("name", str), spec("params", dict, {})
+        for key, value in params.items():  # checked as numbers, passed as given
+            _convert(value, float, f"{spec.path}params.{key}")
+        return name, params
 
     def reject_unread(self, config):
         """``config``, once no key of this object or its sections is unread."""
@@ -195,6 +199,14 @@ class _Fields:
         for section in self.sections:
             section.reject_unread(config)
         return config
+
+
+def _invariance_points(dims: int) -> np.ndarray:
+    """Four fixed points of [-4, 4)^dims whose coordinates all differ within
+    each point (steps of an irrational fraction of the interval), so a field
+    that vanishes only where coordinates coincide is not missed."""
+    k = np.arange(4 * dims, dtype=float).reshape(4, dims)
+    return (k * (math.sqrt(5.0) - 1.0) / 2.0 + 0.25) % 1.0 * 8.0 - 4.0
 
 
 def build_drift(kind: str, potential, delta: float, vector=None):
@@ -213,7 +225,7 @@ def build_drift(kind: str, potential, delta: float, vector=None):
     if vector is None:
         unit_parts(drift, potential)  # a potential not in 2 dimensions raises
         return drift
-    points = np.random.default_rng(0).uniform(-4.0, 4.0, (4, potential.dimension))
+    points = _invariance_points(potential.dimension)
     defect = check_invariance(drift, potential, points)
     _check(defect <= 1e-6 * (1.0 + float(np.max(np.abs(drift.vector)))),
            f"constant drift {list(vector)} does not preserve the Gibbs law of "
@@ -387,9 +399,11 @@ class ExperimentConfig:
                 for delta, n in ((delta, self.substeps_at(delta)) for delta in self.deltas)]
 
     def to_dict(self) -> dict:
-        """The config in document form, as echoed in manifest.json."""
+        """The config in document form, as echoed in manifest.json; the
+        potential's params are those its builder resolved, defaults included."""
         doc = asdict(self)
-        doc["potential"] = {"name": doc["potential"], "params": doc.pop("potential_params")}
+        del doc["potential_params"]
+        doc["potential"] = {"name": self.potential, "params": self.build_potential().params}
         doc["drift"] = {"kind": doc.pop("drift_kind"), "deltas": doc.pop("deltas")}
         return doc
 
@@ -478,20 +492,17 @@ class SpectralConfig:
 # experiment execution
 
 
-def _batch_rows(config: ExperimentConfig,
-                delta_indices: tuple[int, ...]) -> tuple[list[dict], dict]:
+def _sample(config: ExperimentConfig, delta_indices: tuple[int, ...],
+            observable=None) -> tuple[np.ndarray, dict]:
     """Simulate every seed of the delta groups ``delta_indices`` (one
-    ``lockstep_batches`` entry) in one lockstep call and build result rows.
-
-    One row per (delta, seed, checkpoint), in that order.  Cell (delta, seed)
-    owns the RNG stream splitmix64(delta_index, seed_index), so results do
-    not depend on how groups are batched or scheduled across workers.  A
-    blow-up names its delta and its cell within that delta's group; when
-    several groups diverge, the earliest step across the batch is reported.
-    Also returns the batch's ``sampler_timing`` entry: its deltas and cells,
-    the wall and CPU seconds of its ``simulate_cells`` call and the
-    cell-substeps per second.
-    """
+    ``lockstep_batches`` entry) in one lockstep call.  Returns the states, or
+    the ``observable`` series, of the cells (delta, seed) in that order, and
+    the batch's ``sampler_timing`` entry: its deltas and cells, the wall and
+    CPU seconds of the call and the cell-substeps per second.  Cell (delta,
+    seed) owns the RNG stream splitmix64(delta_index, seed_index), so results
+    do not depend on batching or scheduling.  A blow-up names its delta and
+    its cell within that delta's group; when several groups diverge, the
+    earliest step across the batch is reported."""
     seeds, deltas = config.seeds, [config.deltas[i] for i in delta_indices]
     potential = config.build_potential()
     n_steps, substeps = config.n_steps, config.substeps_at(deltas[0])
@@ -505,8 +516,7 @@ def _batch_rows(config: ExperimentConfig,
     try:
         series = simulate_cells(
             potential, drifts, config.diffusion, config.dt, n_steps,
-            [config.initial] * cells, streams,
-            observable=get_observable(config.observable).fn, substeps=substeps)
+            [config.initial] * cells, streams, observable=observable, substeps=substeps)
     except PropagationError as exc:
         group, cell = divmod(exc.cell_index, len(seeds))
         raise non_finite_error(exc.step_index, config.dt, cell, deltas[group],
@@ -515,12 +525,26 @@ def _batch_rows(config: ExperimentConfig,
     timing = {"deltas": deltas, "cells": cells, "wall_s": wall,
               "cpu_s": time.process_time() - cpu,
               "cell_substeps_per_s": cells * n_steps * substeps / wall}
+    return series, timing
+
+
+def _batch_rows(config: ExperimentConfig,
+                delta_indices: tuple[int, ...]) -> tuple[list[dict], dict]:
+    """One result row per (delta, seed, checkpoint) of ``_sample``'s observable
+    series, in that order, and its ``sampler_timing`` entry.  A statistic
+    that is not finite, as when a finite state squares to inf, is a
+    SolverError naming the delta, seed and checkpoint."""
+    series, timing = _sample(config, delta_indices, get_observable(config.observable).fn)
     rows = []
-    for values, (delta, seed) in zip(series, [(d, s) for d in deltas for s in seeds]):
+    cells = [(config.deltas[i], seed) for i in delta_indices for seed in config.seeds]
+    for values, (delta, seed) in zip(series, cells):
         for t in config.checkpoints:
             window = values[: round(t / config.dt) + 1]
             m = config.batches_at(t)
-            report = batch_means(window, m, config.alpha, config.dt, config.burn_in)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                report = batch_means(window, m, config.alpha, config.dt, config.burn_in)
+                sigma2 = asymptotic_variance_estimate(window, config.dt, m=m,
+                                                      burn_in=config.burn_in)
             rows.append({
                 "potential": config.potential,
                 "delta": delta,
@@ -533,10 +557,16 @@ def _batch_rows(config: ExperimentConfig,
                 "s2m": report.s2m,
                 "ci_lo": report.ci_lower,
                 "ci_hi": report.ci_upper,
-                "sigma2_batch": asymptotic_variance_estimate(
-                    window, config.dt, m=m, burn_in=config.burn_in),
+                "sigma2_batch": sigma2,
                 "seed": seed,
             })
+            bad = [f"{key} {value}" for key, value in rows[-1].items()
+                   if isinstance(value, float) and not math.isfinite(value)]
+            if bad:
+                where = f"delta {delta}, seed {seed}, t {t}"
+                raise SolverError(f"{where}: batch statistics are not finite "
+                                  f"({', '.join(bad)}): the observable grew too large "
+                                  f"to average", solve=where)
     return rows, timing
 
 
@@ -737,36 +767,23 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
+    """The states of ``estimate``'s cell (0, 0), as a ``.npy`` of shape
+    (n_steps + 1, d); ``manifest.json`` holds the run's provenance."""
     config = _experiment_config(args)
     for name, values in (("deltas", config.deltas), ("seeds", config.seeds)):
         _check(len(values) == 1, f"simulate writes one trajectory, so it takes "
                                  f"one of {name}, got {list(values)}")
     out = _out_dir(args)
-    path = Path(args.save_path) if args.save_path else out / "trajectory.traj"
+    path = Path(args.save_path) if args.save_path else out / "trajectory.npy"
     _make_dir(path.parent, "the directory of --save-path")
     _check(not path.is_dir(), f"--save-path {path} is a directory")
-    (delta,), (seed,) = config.deltas, config.seeds
-    potential = config.build_potential()
-    drift, substeps = config.drift(potential, delta), config.substeps_at(delta)
     with _failure_manifest(out, config.to_dict(), [path]):
-        states = simulate_cells(potential, [drift], config.diffusion, config.dt,
-                                config.n_steps, [config.initial], [NormalStream(seed)],
-                                substeps=substeps)[0]
-    drift_echo = None
-    if drift is not None:
-        drift_echo = {"kind": config.drift_kind, "delta": drift.delta}
-        if config.drift_kind == "constant":
-            drift_echo["vector"] = list(map(float, drift.vector))
-    with _Writing(path) as writing:
-        save_trajectory(states, {
-            "potential": {"name": potential.name, "params": potential.params},
-            "drift": drift_echo, "diffusion": config.diffusion, "dt": config.dt,
-            "horizon": config.horizon, "initial": list(config.initial), "seed": seed,
-            "stream_id": 0, "substeps": substeps,
-        }, path)
+        (states,), timing = _sample(config, (0,))
+    with _Writing(path) as writing, open_output(path, "wb") as fh:
+        np.save(fh, states)
     write_manifest(out / "manifest.json", config.to_dict(),
                    {"trajectory": str(path), "substeps": config.substeps_by_delta(),
-                    "write_s": writing.seconds})
+                    "sampler_timing": [timing], "write_s": writing.seconds})
     print(f"wrote {path} ({len(states)} states)")
     return 0
 
@@ -932,7 +949,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, PropagationError, FloatingPointError) as exc:
+    except (SolverError, PropagationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

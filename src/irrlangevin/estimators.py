@@ -128,14 +128,12 @@ def t_quantile(alpha_half: float, dof: int) -> float:
     return -float(stdtrit(dof, alpha_half))
 
 
-def asymptotic_variance_estimate(values, dt: float, m: int | None = None,
+def asymptotic_variance_estimate(values, dt: float, m: int,
                                  burn_in: float = 0.0) -> float:
     """Estimate sigma^2 = lim t Var(time average over [0, t]) as
     (block * dt) * s2m over the m batches of ``block`` samples that
-    ``batch_means`` averages; m defaults to ``batch_count_schedule``."""
+    ``batch_means`` averages."""
     w = _window(values, dt, burn_in)
-    if m is None:
-        m = batch_count_schedule(len(w) * dt)
     if len(w) < 2 * m:
         raise ParameterError("series too short for an asymptotic-variance estimate")
     return float((len(w) // m) * dt * _batches(w, m).var(ddof=1))

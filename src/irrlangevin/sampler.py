@@ -40,7 +40,6 @@ twice, not three times.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -52,10 +51,7 @@ import numpy as np
 from .drift import J2, unit_parts
 from .errors import DimensionError, ParameterError, PropagationError
 from .potentials import PotentialField
-from .rng import NORMAL_ALGORITHM, NormalStream
-
-TRAJECTORY_FORMAT = "irrlangevin-trajectory"
-TRAJECTORY_VERSION = 1
+from .rng import NormalStream
 
 #: Largest rotation time delta * h of one split substep: automatic substeps
 #: keep delta * dt / substeps <= FLOW_THETA.
@@ -212,14 +208,14 @@ def simulate_cells(
     scale = math.sqrt(2.0 * diffusion * (dt / substeps))
     record = (lambda z: z) if observable is None else observable
     out = np.empty((n_cells, n_steps + 1) + ((d,) if observable is None else ()))
-    out[:, 0] = record(states)
-
     # keep noise chunks near the nominal size regardless of substeps
     record_chunk = max(1, chunk_size // substeps)
     step = 0
     # blow-ups are detected explicitly below; silence the intermediate
-    # overflow warnings they would otherwise spray
+    # overflow warnings they would otherwise spray, and those of an
+    # observable that overflows at a finite state
     with np.errstate(over="ignore", invalid="ignore"):
+        out[:, 0] = record(states)
         while step < n_steps:
             m = min(record_chunk, n_steps - step)
             # step-major: row k holds every cell's k-th increment
@@ -286,30 +282,3 @@ def remove_output(path) -> None:
         return
     if regular:
         os.unlink(path)
-
-
-def save_trajectory(states, config: dict, path) -> None:
-    """Write header (one JSON line) followed by raw little-endian float64
-    rows, one row per time step.  ``config`` is the run's echo; it must hold
-    the ``initial`` state, whose length ``load_trajectory`` reads as d."""
-    header = {
-        "format": TRAJECTORY_FORMAT,
-        "version": TRAJECTORY_VERSION,
-        "rng": NORMAL_ALGORITHM,
-        "config": config,
-    }
-    with open_output(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(states, dtype="<f8").tobytes())
-
-
-def load_trajectory(path) -> tuple[dict, np.ndarray]:
-    """Read back (header dict, states array) from ``save_trajectory`` output."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = fh.read()
-    if header.get("format") != TRAJECTORY_FORMAT:
-        raise ParameterError(f"{path} is not a trajectory file")
-    d = len(header["config"]["initial"])
-    states = np.frombuffer(payload, dtype="<f8").reshape(-1, d)
-    return header, states

@@ -305,9 +305,9 @@ def test_criterion_10_cli_determinism(tmp_path):
         digests[name] = (
             (out / "results.csv").read_bytes(),
             (out / "sweep.csv").read_bytes(),
-            (out / "trajectory.traj").read_bytes(),
+            (out / "trajectory.npy").read_bytes(),
         )
     elapsed = time.perf_counter() - start
-    report(10, f"results.csv, sweep.csv and trajectory.traj byte-identical across "
+    report(10, f"results.csv, sweep.csv and trajectory.npy byte-identical across "
                f"reruns ({elapsed:.1f}s)")
     assert digests["a"] == digests["b"]

@@ -25,7 +25,8 @@ from irrlangevin.cli import (
     table_config,
 )
 from irrlangevin.errors import ConfigError, SolverError
-from irrlangevin.sampler import load_trajectory
+from irrlangevin.estimators import batch_means
+from irrlangevin.potentials import MAX_DIMENSION, get_potential
 
 
 def ou_config(**overrides):
@@ -128,6 +129,32 @@ def test_blowup_is_numeric_failure(tmp_path):
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+#: Runs whose states stay finite while the batch statistics of sumsq do not.
+NON_FINITE_STATISTICS = {
+    # each Euler step maps x to -2 x: at step 1000 the state peaks near 1e301,
+    # short of overflow, and its square overflows
+    "state_near_overflow": ou_config(dt=3.0, horizon=3000.0, burn_in=0.0, seeds=[1],
+                                     drift={"deltas": [0.0, 300.0]}, substeps=1),
+    "huge_initial_state": ou_config(initial=[1e200, 1e200], horizon=1.0, burn_in=0.0,
+                                    seeds=[1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_STATISTICS))
+def test_non_finite_batch_statistics_are_a_numeric_failure(case, tmp_path, capsys):
+    doc = NON_FINITE_STATISTICS[case]
+    out = tmp_path / "o"
+    assert main(["estimate", "--config", write_config(tmp_path, doc), "--out",
+                 str(out)]) == 3
+    where = f"delta 0.0, seed 1, t {doc['horizon']}"
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: {where}: batch statistics are not finite")
+    assert "RuntimeWarning" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["solve"] == where
+
+
 def test_blowup_names_its_delta_and_cell(tmp_path, capsys):
     doc = ou_config(dt=3.0, horizon=3600.0, burn_in=3.0, initial=[1.0, 1.0],
                     diffusion=0.1, seeds=[1, 2, 3], drift={"deltas": [2.0]}, substeps=1)
@@ -200,7 +227,7 @@ def test_reproduce_table_records_its_blowup_in_the_manifest(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("command, data", [("estimate", "results.csv"),
                                            ("sweep", "sweep.csv"),
-                                           ("simulate", "trajectory.traj")])
+                                           ("simulate", "trajectory.npy")])
 def test_a_blowup_removes_the_data_file_of_an_earlier_run(command, data, tmp_path):
     out = tmp_path / "o"
     good = ou_config(horizon=1.0, burn_in=0.1, seeds=[1])
@@ -228,32 +255,56 @@ def test_simulate_writes_trajectory(tmp_path):
     save = tmp_path / "new" / "traj.bin"  # a missing parent is created
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--save-path", str(save)]) == 0
-    header, states = load_trajectory(save)
-    assert states.shape == (1001, 2)
-    assert header["config"]["seed"] == 3
+    states = np.load(save)
+    assert states.shape == (1001, 2) and states.dtype == np.float64
+    np.testing.assert_array_equal(states[0], [0.0, 0.0])
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["trajectory"] == str(save)
+    assert manifest["config"]["seeds"] == [3]
 
 
-@pytest.mark.parametrize("potential, drift, echo", [
-    ("quadratic", {"kind": "none", "deltas": [2.0]}, None),
-    ("quadratic", {"kind": "rotational", "deltas": [2.0]},
-     {"kind": "rotational", "delta": 2.0}),
+@pytest.mark.parametrize("potential, drift, params", [
+    ("quadratic", {"kind": "none", "deltas": [2.0]}, {"dim": 2}),
+    ("bimodal1", {"kind": "rotational", "deltas": [2.0]}, {}),
     ({"name": "torus-zero", "params": {"dim": 2}}, {"kind": "constant", "deltas": [2]},
-     {"kind": "constant", "delta": 2.0, "vector": [1.0, 1.0]}),
+     {"dim": 2}),
+    ("torus-cosine", {"kind": "rotational", "deltas": [1.0]}, {"a": 1.0, "b": 1.0}),
 ])
-def test_simulate_header_echoes_the_run(tmp_path, potential, drift, echo):
-    # params hold the builder defaults
+def test_simulate_manifest_echoes_the_run(tmp_path, potential, drift, params):
+    # the manifest is the trajectory's one provenance record: its config holds
+    # the builder-resolved params and reruns to the same bytes
     doc = ou_config(potential=potential, drift=drift, horizon=0.01, burn_in=0.0,
                     seeds=[4], checkpoints=[0.01], batches=2)
-    out = tmp_path / "s"
+    out, again = tmp_path / "s", tmp_path / "again"
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out",
                  str(out)]) == 0
-    header, states = load_trajectory(out / "trajectory.traj")
+    manifest = json.loads((out / "manifest.json").read_text())
     name = potential if isinstance(potential, str) else potential["name"]
-    assert header["config"] == {
-        "potential": {"name": name, "params": {"dim": 2}}, "drift": echo,
-        "diffusion": 0.1, "dt": 1e-3, "horizon": 0.01, "initial": [0.0, 0.0],
-        "seed": 4, "stream_id": 0, "substeps": 1}
-    assert states.shape == (11, 2)
+    assert manifest["config"]["potential"] == {"name": name, "params": params}
+    assert manifest["config"]["drift"] == {"kind": drift["kind"],
+                                           "deltas": [float(drift["deltas"][0])]}
+    assert manifest["substeps"] == [{"delta": float(drift["deltas"][0]), "substeps": 1,
+                                     "h": 1e-3, "rotation": "flow"}]
+    (timing,) = manifest["sampler_timing"]
+    assert timing["deltas"] == [float(drift["deltas"][0])] and timing["cells"] == 1
+    assert np.load(out / "trajectory.npy").shape == (11, 2)
+    rerun = write_config(tmp_path, manifest["config"], "rerun.json")
+    assert main(["simulate", "--config", rerun, "--out", str(again)]) == 0
+    assert (again / "trajectory.npy").read_bytes() == (out / "trajectory.npy").read_bytes()
+
+
+def test_simulate_saves_the_path_estimate_averages(tmp_path):
+    # one delta, one seed: simulate's states are the cell estimate averages,
+    # drawn from the same normal stream
+    doc = ou_config(potential="bimodal1", drift={"deltas": [10.0]}, seeds=[7],
+                    observable="x", horizon=4.0, burn_in=1.0, batches=10)
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    header, row = (tmp_path / "e" / "results.csv").read_text().splitlines()
+    estimate = float(dict(zip(header.split(","), row.split(",")))["estimate"])
+    states = np.load(tmp_path / "s" / "trajectory.npy")
+    assert batch_means(states[:, 0], 10, 0.05, 1e-3, burn_in=1.0).estimate == estimate
 
 
 def test_sweep_emits_per_seed_bands(tmp_path):
@@ -682,7 +733,7 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
     assert manifest["substeps"] == [{"delta": d, "substeps": n, "h": 1e-3 / n,
                                      "rotation": "flow"} for d, n in expected]
     if argv[0] == "simulate":
-        assert load_trajectory(out / "trajectory.traj")[0]["config"]["substeps"] == 1
+        assert np.load(out / "trajectory.npy").shape == (51, 2)
     # one seed and one substep count: every delta group runs in one lockstep call
     assert ran == [(tuple(delta for delta, _ in expected), 1)]
 
@@ -867,9 +918,26 @@ BAD_INPUTS = {
         "estimate", ou_config(checkpoints=[20.0, 10.0, 20.0]), []),
     "spectral_repeated_delta": ("spectral", spectral_config(deltas=[1.0, 1.0]), []),
     "threads_zero": ("estimate", ou_config(), ["--threads", "0"]),
+    # potential params are numbers: a string or a flag is not coerced
+    "potential_param_string": (
+        "estimate", ou_config(potential={"name": "torus-cosine", "params": {"a": "1"}}),
+        []),
+    "potential_param_bool": (
+        "estimate", ou_config(potential={"name": "quadratic", "params": {"dim": True}}),
+        []),
+    "ratefn_potential_param_string": (
+        "ratefn", rate_config(potential={"name": "torus-cosine", "params": {"a": "1"}},
+                              drift={"kind": "rotational"}), []),
+    "ratefn_potential_param_bool": (
+        "ratefn", rate_config(potential={"name": "torus-zero", "params": {"dim": True}}),
+        []),
 }
 #: What the message of a BAD_INPUTS case must name, where it is not just a value.
 NAMED_IN_MESSAGE = {
+    "potential_param_string": "potential.params.a must be a finite number, got '1'",
+    "potential_param_bool": "potential.params.dim must be a finite number, got True",
+    "ratefn_potential_param_string": "potential.params.a must be a finite number",
+    "ratefn_potential_param_bool": "potential.params.dim must be a finite number",
     "ratefn_bimodal1": "'bimodal1' is not periodic",
     "ratefn_quadratic": "'quadratic' is not periodic",
     "sampling_drift_vector": "unknown or unused key 'drift.vector'",
@@ -908,7 +976,7 @@ def test_bad_input_exits_2_before_any_solve(case, tmp_path, solvers, capsys):
 @pytest.mark.parametrize("where", ["under_a_file", "a_directory"])
 def test_unwritable_save_path_exits_2_before_simulating(where, tmp_path, solvers):
     (tmp_path / "file").write_text("")
-    save = tmp_path / "file" / "z.traj" if where == "under_a_file" else tmp_path
+    save = tmp_path / "file" / "z.npy" if where == "under_a_file" else tmp_path
     cfg = write_config(tmp_path, ou_config(horizon=1.0, burn_in=0.1, seeds=[3]))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--save-path", str(save)]) == 2
@@ -924,6 +992,40 @@ def test_constant_drift_config_at_dim_8192_builds_within_a_second():
     start = time.perf_counter()
     ExperimentConfig.from_dict(doc)
     assert time.perf_counter() - start < 1.0
+
+
+def test_invariance_points_have_distinct_coordinates_in_every_dimension():
+    # the points of dimension d are the first 4 d values of one sequence, so
+    # distinct values at the largest dimension mean distinct ones at every d
+    sequence = cli._invariance_points(MAX_DIMENSION).ravel()
+    assert np.unique(sequence).size == sequence.size
+    assert -4.0 <= sequence.min() and sequence.max() < 4.0
+    for dims in (1, 2, 3, 1000):
+        points = cli._invariance_points(dims)
+        assert points.shape == (4, dims)
+        np.testing.assert_array_equal(points.ravel(), sequence[:4 * dims])
+
+
+def test_a_drift_flat_only_on_the_diagonal_is_rejected():
+    # on torus-cosine with a = b = 1, c0 . grad U = sin y - sin x for c0 = (1, -1):
+    # zero where x = y, so points on the diagonal would accept it
+    potential = get_potential("torus-cosine", a=1.0, b=1.0)
+    with pytest.raises(ConfigError, match="does not preserve the Gibbs law"):
+        cli.build_drift("constant", potential, 1.0, (1.0, -1.0))
+
+
+def test_a_constant_drift_config_leaves_numpy_random_unloaded():
+    code = (
+        "import sys\n"
+        "from irrlangevin.cli import RateConfig\n"
+        "RateConfig.from_dict({'grid': 16, 'density': {'kind': 'uniform'},\n"
+        "    'potential': {'name': 'torus-cosine', 'params': {'a': 0.0, 'b': 0.5}},\n"
+        "    'drift': {'kind': 'constant', 'vector': [1.0, 0.0]}})\n"
+        "print('numpy.random' in sys.modules)\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"
 
 
 FLAT_CONSTANT_DRIFTS = {

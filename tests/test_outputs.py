@@ -25,7 +25,7 @@ OU = {"potential": "quadratic", "drift": {"kind": "rotational", "deltas": [1.0]}
 
 #: Subcommand -> (config document or None, extra flags, data files it writes).
 COMMANDS = {
-    "simulate": ({**OU, "seeds": [3]}, [], ["trajectory.traj"]),
+    "simulate": ({**OU, "seeds": [3]}, [], ["trajectory.npy"]),
     "estimate": (OU, [], ["results.csv"]),
     "sweep": (OU, [], ["sweep.csv"]),
     "reproduce-table": (None, ["--table", "1", "--scale", "0.02", "--seeds", "1,2"],

@@ -12,13 +12,11 @@ from irrlangevin.errors import (
 )
 from irrlangevin.estimators import OBSERVABLES, batch_means
 from irrlangevin.potentials import get_potential
-from irrlangevin.rng import NORMAL_ALGORITHM, NormalStream
+from irrlangevin.rng import NormalStream
 from irrlangevin.sampler import (
     NOISE_CHUNK,
     OBSERVABLE_ROWS,
     _affine_drift,
-    load_trajectory,
-    save_trajectory,
     simulate_cells,
     stable_substeps,
 )
@@ -409,18 +407,6 @@ def test_invalid_configs_rejected():
         run(initial=(1.0,))
     with pytest.raises(ParameterError, match="substeps"):
         run(substeps=0)
-
-
-def test_trajectory_file_roundtrip(tmp_path):
-    states = run(drift=Drift(2.0), diffusion=0.2, n_steps=200)
-    config = {"potential": {"name": "quadratic", "params": {"dim": 2}},
-              "drift": {"kind": "rotational", "delta": 2.0}, "initial": [1.0, 1.0]}
-    path = tmp_path / "run.traj"
-    save_trajectory(states, config, path)
-    header, loaded = load_trajectory(path)
-    np.testing.assert_array_equal(loaded, states)
-    assert header == {"format": "irrlangevin-trajectory", "version": 1,
-                      "rng": NORMAL_ALGORITHM, "config": config}
 
 
 def test_stream_independence_of_increments():
