@@ -361,7 +361,8 @@ class ExperimentConfig:
     def sampler_values(self, batch: tuple[int, ...]) -> int:
         """Float64 values in the larger of the recorded series ((n_steps + 1)
         x cells, or x d for simulate's trajectory) and the noise chunk of one
-        ``simulate_cells`` call over the delta groups ``batch``."""
+        ``simulate_cells`` call over the delta groups ``batch``.  The block
+        the chunk is moved through is never larger than the chunk."""
         cells, dims = len(batch) * len(self.seeds), len(self.initial)
         substeps = self.substeps_at(self.deltas[batch[0]])
         return max((self.n_steps + 1) * max(cells, dims),

@@ -77,12 +77,13 @@ def _rotation(z, a):
     grad U = z.  A sampler calls it once per substep with one float a, so
     that matrix is cached."""
     if isinstance(a, float):
-        z[...] = z @ _rotation_matrix(a)
-    else:
-        c, s = np.cos(a), np.sin(a)
-        x = c * z[..., 0] + s * z[..., 1]
-        z[..., 1] = c * z[..., 1] - s * z[..., 0]
-        z[..., 0] = x
+        moved = z @ _rotation_matrix(a)
+        z[...] = moved
+        return moved
+    c, s = np.cos(a), np.sin(a)
+    x = c * z[..., 0] + s * z[..., 1]
+    z[..., 1] = c * z[..., 1] - s * z[..., 0]
+    z[..., 0] = x
     return z.copy()
 
 

@@ -9,14 +9,16 @@ shared state.
 ``simulate_cells`` is the one sampling entry point: it advances many (drift
 strength, stream) cells of a shared potential in lockstep, and a single
 trajectory is its one-cell case.  It draws the normals of a chunk of steps
-at once, scaled as they are stored, and one update rule, ``_em_path``, runs
-the whole chunk in place: each update overwrites the increment row it
-consumed with the state it produces.  The chunk is then recorded at once:
-its recorded states are every ``substeps``-th row, the observable is called
-on (steps, cells, d) blocks of them, at most OBSERVABLE_ROWS steps each, and
-a blow-up's first non-finite step and cell are read from the same rows.  So
-an observable must be vectorised over leading axes, as every ``OBSERVABLES``
-entry is.
+at once, one contiguous array per stream, and moves the chunk one block of
+about BLOCK_VALUES values at a time, so a block's rows are reused while they
+are cached: each cell's slice is copied into a step-major block (row k
+holds every cell's k-th increment), the block is scaled in place, and one
+update rule, ``_em_path``, runs it in place, each update overwriting the
+increment row it consumed with the state it produces.  The block is then
+recorded: its recorded states are every ``substeps``-th row, the observable
+is called once on those (steps, cells, d) rows, and a blow-up's first
+non-finite step and cell are read from the same rows.  So an observable
+must be vectorised over leading axes, as every ``OBSERVABLES`` entry is.
 
 Each substep of size h is one Euler-Maruyama step of the reversible part
 followed by the flow Phi of the rotational part (a Lie split):
@@ -34,7 +36,7 @@ before a normal is drawn.  Each substep is then one product with M h, two
 in-place additions and either one gradient call or, when the cells rotate
 by a flow, one flow call.  The flow advances the states in place and hands
 back grad U at them, so a rotating batch calls the gradient only once per
-noise chunk; on ``bimodal1`` and ``torus-cosine`` a substep evaluates V'
+block; on ``bimodal1`` and ``torus-cosine`` a substep evaluates V'
 twice, not three times.
 """
 
@@ -61,9 +63,11 @@ FLOW_THETA = 0.1
 #: holds cells x max(substeps, NOISE_CHUNK) x d normals at most.
 NOISE_CHUNK = 8192
 
-#: Most recorded steps the observable sees in one call, so the temporaries it
-#: builds stay a fraction of the noise chunk.
-OBSERVABLE_ROWS = 1024
+#: Float64 values (1 MiB) of the block in which ``simulate_cells`` moves a
+#: noise chunk: each block is copied to step-major, scaled, integrated and
+#: recorded while it stays in cache, and the observable is called once per
+#: block.
+BLOCK_VALUES = 1 << 17
 
 
 def non_finite_error(step_index: int, dt: float, cell_index: int, delta: float,
@@ -181,8 +185,14 @@ def simulate_cells(
     the full state history ``(n_cells, n_steps + 1, d)`` at the recording
     grid 0, dt, 2 dt, ..., or, when ``observable`` is given, the series
     ``(n_cells, n_steps + 1)`` of f(Z_t) without materializing states; f is
-    called on (steps, n_cells, d) blocks of at most OBSERVABLE_ROWS recorded
-    steps.  A blow-up raises ``non_finite_error``.
+    called once per block on its (steps, n_cells, d) recorded rows.  A
+    blow-up raises ``non_finite_error``.
+
+    Each stream's normals of a chunk of about ``chunk_size`` substeps are
+    drawn in one call and kept as drawn; the chunk is then integrated and
+    recorded one block of recorded steps at a time (about BLOCK_VALUES
+    increments, at least 64 steps, at most a quarter of the chunk), so one
+    chunk of normals and one block are alive at a time.
 
     With ``substeps`` > 1 each recorded step is integrated as ``substeps``
     split updates of size dt/substeps (see ``_em_path``), consuming
@@ -208,8 +218,20 @@ def simulate_cells(
     scale = math.sqrt(2.0 * diffusion * (dt / substeps))
     record = (lambda z: z) if observable is None else observable
     out = np.empty((n_cells, n_steps + 1) + ((d,) if observable is None else ()))
+    if n_cells == 0:  # nothing to draw or integrate
+        return out
     # keep noise chunks near the nominal size regardless of substeps
     record_chunk = max(1, chunk_size // substeps)
+    # recorded steps per block: about BLOCK_VALUES values, but at least 64
+    # steps, so each cell's copy stays long in a wide batch, and at most a
+    # quarter of the chunk, so the block adds at most that to its memory
+    block_steps = min(max(64, BLOCK_VALUES // (substeps * n_cells * d)),
+                      max(1, record_chunk // 4))
+    # step-major: row k holds every cell's k-th increment
+    block = np.empty((min(block_steps, n_steps) * substeps, n_cells, d))
+    # a cell's d coordinates move as one void item
+    item = np.dtype((np.void, 8 * d))
+    block_items = block.view(item)[..., 0]
     step = 0
     # blow-ups are detected explicitly below; silence the intermediate
     # overflow warnings they would otherwise spray, and those of an
@@ -218,26 +240,31 @@ def simulate_cells(
         out[:, 0] = record(states)
         while step < n_steps:
             m = min(record_chunk, n_steps - step)
-            # step-major: row k holds every cell's k-th increment
-            noise = np.empty((m * substeps, n_cells, d))
-            for i, stream in enumerate(streams):
-                np.multiply(stream.normals(m * substeps * d).reshape(m * substeps, d),
-                            scale, out=noise[:, i])
-            _em_path(states, *rule, noise)
-            recorded = noise[substeps - 1::substeps]
-            for b in range(0, m, OBSERVABLE_ROWS):
-                block, first = recorded[b:b + OBSERVABLE_ROWS], step + b + 1
-                out[:, first:first + len(block)] = record(block).swapaxes(0, 1)
-            if not np.all(np.isfinite(noise[-1])):
-                # a non-finite coordinate stays non-finite under the update,
-                # so the first non-finite recorded state marks the blow-up
-                k, i = np.argwhere(~np.isfinite(recorded).all(axis=-1))[0]
-                drift = drifts[i]
-                raise non_finite_error(step + 1 + int(k), dt, int(i),
-                                       0.0 if drift is None else drift.delta)
-            # a copy, so the chunk is freed before the next one is drawn
-            states = noise[-1].copy()
-            del noise, recorded, block
+            # each stream's normals stay as drawn: contiguous, one array per cell
+            drawn = [np.ascontiguousarray(stream.normals(m * substeps * d), dtype=float)
+                     .view(item) for stream in streams]
+            for b in range(0, m, block_steps):
+                rows = min(block_steps, m - b)
+                w = block[:rows * substeps]
+                lo, hi = b * substeps, (b + rows) * substeps
+                for i, cell in enumerate(drawn):
+                    block_items[:len(w), i] = cell[lo:hi]
+                w *= scale
+                _em_path(states, *rule, w)
+                recorded = w[substeps - 1::substeps]
+                first = step + b + 1
+                out[:, first:first + rows] = record(recorded).swapaxes(0, 1)
+                if not np.all(np.isfinite(w[-1])):
+                    # a non-finite coordinate stays non-finite under the
+                    # update, so the first non-finite recorded state marks
+                    # the blow-up
+                    k, i = np.argwhere(~np.isfinite(recorded).all(axis=-1))[0]
+                    drift = drifts[i]
+                    raise non_finite_error(first + int(k), dt, int(i),
+                                           0.0 if drift is None else drift.delta)
+                # a copy, since the next block overwrites these rows
+                states = w[-1].copy()
+            del drawn  # freed before the next chunk is drawn
             step += m
     return out
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
+from irrlangevin.drift import J2
 from irrlangevin.errors import DimensionError
 from irrlangevin.ratefn import GridDensity, grid_points, spectral_gradient
 from irrlangevin.spectral import periodic_generator
@@ -121,19 +122,27 @@ def split_rule_reference(potential, deltas, diffusion: float, dt: float,
     """The states a rotational-drift ``simulate_cells`` run records, one cell
     per delta (0 for a reversible cell), computed substep by substep from the
     split rule: z <- w + (grad U(z) (-h) + z) with w = sqrt(2 D h) normals and
-    h = dt / substeps, then the rotation flow for time delta h.  Every
-    gradient is a fresh ``grad_fn`` call.  Returns (cells, n_steps + 1, d)."""
+    h = dt / substeps, then the rotation flow for time delta h.  On a
+    potential without a flow the rotation stays in the Euler step,
+    z <- w + (grad U(z) ((delta J2^T - I) h) + z), one vector-matrix product
+    per cell.  Every gradient is a fresh ``grad_fn`` call, and each stream's
+    normals are drawn in one call.  Returns (cells, n_steps + 1, d)."""
     h = dt / substeps
-    a = np.asarray(deltas, dtype=float) * h
+    deltas = np.asarray(deltas, dtype=float)
     z = np.array(initials, dtype=float)
     d = z.shape[1]
     w = np.stack([math.sqrt(2.0 * diffusion * h)
                   * stream.normals(n_steps * substeps * d).reshape(-1, d)
                   for stream in streams], axis=1)
+    euler = (deltas[:, None, None] * J2.T - np.eye(d)) * h
     out = [z]
     for k in range(n_steps * substeps):
-        z = w[k] + (potential.grad_fn(z) * (-h) + z)
-        z = _rotation_step(potential, z, a)
+        g = potential.grad_fn(z)
+        if potential.rotation_flow is None:
+            z = w[k] + (np.stack([g[i] @ euler[i] for i in range(len(z))]) + z)
+        else:
+            z = w[k] + (g * (-h) + z)
+            z = _rotation_step(potential, z, deltas * h)
         if (k + 1) % substeps == 0:
             out.append(z)
     return np.stack(out, axis=1)

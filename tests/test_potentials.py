@@ -239,3 +239,5 @@ def test_rotation_flow_moves_its_argument_and_returns_the_gradient_there(name, p
     assert not np.array_equal(moved, z) or name == "torus-zero"  # grad U = 0 there
     assert grads.shape == z.shape
     assert grads.tobytes() == field.grad_fn(moved).tobytes()
+    # a fresh array, as grad_fn's is: moving the points again leaves it as it is
+    assert not np.shares_memory(grads, moved)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from irrlangevin import sampler
 from irrlangevin.cli import ExperimentConfig
 from irrlangevin.drift import Drift
 from irrlangevin.errors import (
@@ -14,8 +15,8 @@ from irrlangevin.estimators import OBSERVABLES, batch_means
 from irrlangevin.potentials import get_potential
 from irrlangevin.rng import NormalStream
 from irrlangevin.sampler import (
+    BLOCK_VALUES,
     NOISE_CHUNK,
-    OBSERVABLE_ROWS,
     _affine_drift,
     simulate_cells,
     stable_substeps,
@@ -106,6 +107,10 @@ def test_trajectory_length_contract():
     assert run(n_steps=500).shape == (501, 2)
     assert run(n_steps=500, observable=OBSERVABLES["sumsq"].fn).shape == (501,)
     assert run(n_steps=0).tolist() == [[1.0, 1.0]]
+    # and with no cells at all
+    none = (QUAD, [], 0.1, 1e-3, 500, [], [])
+    assert simulate_cells(*none).shape == (0, 501, 2)
+    assert simulate_cells(*none, observable=OBSERVABLES["sumsq"].fn).shape == (0, 501)
 
 
 def test_deterministic_gradient_flow_decay():
@@ -200,10 +205,11 @@ def test_one_noise_chunk_is_alive_at_a_time():
 
 
 @pytest.mark.parametrize("substeps", [1, 3])
-def test_observable_sees_at_most_observable_rows_steps_per_call(substeps):
-    # a chunk of 5000 recorded steps reaches the observable in blocks, so its
-    # temporaries stay a fraction of the chunk; each row reduces on its own,
-    # so the series equals the observable of the recorded states
+def test_observable_sees_at_most_block_values_per_call(substeps):
+    # a chunk of 5000 recorded steps reaches the observable one block at a
+    # time, so its temporaries stay within BLOCK_VALUES values, not a
+    # fraction of the chunk; each row reduces on its own, so the series
+    # equals the observable of the recorded states
     sumsq = OBSERVABLES["sumsq"].fn
     shapes = []
 
@@ -211,16 +217,18 @@ def test_observable_sees_at_most_observable_rows_steps_per_call(substeps):
         shapes.append(z.shape)
         return sumsq(z)
 
-    n_steps, cells = 5000, 3
+    n_steps, cells, d = 5000, 60, 2
     args = (QUAD, [Drift(2.0)] * cells, 0.1, 1e-3, n_steps, [(1.0, 1.0)] * cells)
     series = simulate_cells(*args, [NormalStream(4, i) for i in range(cells)],
                             observable=spy, substeps=substeps, chunk_size=5000 * substeps)
     states = simulate_cells(*args, [NormalStream(4, i) for i in range(cells)],
                             substeps=substeps, chunk_size=5000 * substeps)
     # the initial states come as one (cells, d) block, then the recorded steps
-    assert shapes[0] == (cells, 2)
+    assert shapes[0] == (cells, d)
+    assert all(shape[1:] == (cells, d) for shape in shapes[1:])
     rows = [shape[0] for shape in shapes[1:]]
-    assert max(rows) == OBSERVABLE_ROWS and sum(rows) == n_steps
+    assert max(rows) * cells * d <= BLOCK_VALUES
+    assert len(rows) > 4 and sum(rows) == n_steps
     np.testing.assert_array_equal(series, sumsq(states))
 
 
@@ -296,6 +304,47 @@ def test_split_rule_equals_its_step_by_step_reference_bitwise(name, params):
     want = split_rule_reference(potential, deltas, 0.1, 1e-2, 25, initials,
                                 [NormalStream(4, i) for i in range(3)], substeps=3)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["bimodal1", "bimodal2"])  # with a flow, without one
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("cells, block_values", [(1, BLOCK_VALUES), (15, BLOCK_VALUES),
+                                                 (300, BLOCK_VALUES), (300, 2**15)])
+def test_blocked_noise_path_equals_the_split_rule_reference_bitwise(
+        name, substeps, cells, block_values, monkeypatch):
+    # two chunks, the first of 1001 // substeps recorded steps, which is no
+    # multiple of the block: 1 and 15 cells take a quarter chunk, 300 cells
+    # the BLOCK_VALUES share, or the 64-step floor when the values allow fewer
+    monkeypatch.setattr(sampler, "BLOCK_VALUES", block_values)
+    potential = get_potential(name)
+    deltas = [3.7] if cells == 1 else [(0.0, 5.0, -3.7)[i % 3] for i in range(cells)]
+    drifts = [None if delta == 0.0 else Drift(delta) for delta in deltas]
+    initials = [(0.3 + 0.01 * i, -0.8) for i in range(cells)]
+    n_steps = 1100 // substeps
+    got = simulate_cells(potential, drifts, 0.1, 1e-3, n_steps, initials,
+                         [NormalStream(6, i) for i in range(cells)], substeps=substeps,
+                         chunk_size=1001)
+    want = split_rule_reference(potential, deltas, 0.1, 1e-3, n_steps, initials,
+                                [NormalStream(6, i) for i in range(cells)], substeps)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_blowup_in_a_later_block_names_the_oracles_first_non_finite_row():
+    # x_n = (-2)^n x_0 on quadratic U at dt 3 leaves float64 at step 1024 - k
+    # from x_0 = 2^k: cells 250 and 100 leave at step 424, in the second block
+    # (218 steps) of the first chunk, and cell 100 comes first in that row
+    cells = 300
+    initials = [(1.0, 1.0)] * cells
+    initials[250] = initials[100] = (2.0**600, 1.0)
+    args = (0.1, 3.0, 600, initials)
+    with pytest.raises(PropagationError) as err:
+        simulate_cells(QUAD, [None] * cells, *args,
+                       [NormalStream(7, i) for i in range(cells)], chunk_size=1001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = split_rule_reference(QUAD, [0.0] * cells, *args,
+                                      [NormalStream(7, i) for i in range(cells)], 1)
+    step, cell = np.argwhere(~np.isfinite(states).all(axis=-1).T)[0]
+    assert (err.value.step_index, err.value.cell_index) == (step, cell) == (424, 100)
 
 
 def test_cells_with_different_drifts_match_one_cell_runs():
