@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .drift import Drift, check_invariance, unit_parts
+from .drift import Drift, check_invariance, invariance_points
 from .errors import ConfigError, ParameterError, PropagationError, SolverError
 from .estimators import (
     asymptotic_variance_estimate, batch_count_schedule, batch_means, get_observable,
@@ -55,7 +55,7 @@ RESULT_COLUMNS = (
     "sigma2_batch,seed"
 ).split(",")
 
-SWEEP_COLUMNS = ["delta", "t", "estimate", "ci_lo", "ci_hi"]
+SWEEP_COLUMNS = ["delta", "seed", "t", "estimate", "ci_lo", "ci_hi"]
 
 #: The observable of the spectral subcommand: f(x) = cos x on the circle.
 SPECTRAL_OBSERVABLE = FourierObservable.cosine()
@@ -201,36 +201,19 @@ class _Fields:
         return config
 
 
-def _invariance_points(dims: int) -> np.ndarray:
-    """Four fixed points of [-4, 4)^dims whose coordinates all differ within
-    each point (steps of an irrational fraction of the interval), so a field
-    that vanishes only where coordinates coincide is not missed."""
-    k = np.arange(4 * dims, dtype=float).reshape(4, dims)
-    return (k * (math.sqrt(5.0) - 1.0) / 2.0 + 0.25) % 1.0 * 8.0 - 4.0
-
-
-def build_drift(kind: str, potential, delta: float, vector=None):
-    """The drift a config names: ``rotational`` delta J2 grad U,
-    ``constant`` delta * vector (all ones by default), or None for ``none``.
-
-    A rotational drift needs a potential in 2 dimensions.  A constant drift
-    preserves the Gibbs law only where U is flat along its vector, so it is
-    rejected unless check_invariance finds c0 . grad U zero at a fixed set of
-    points."""
-    if kind == "none":
-        return None
+def build_drift(kind: str, potential, delta: float, vector=None) -> Drift:
+    """The drift a config names, ``rotational`` delta J2 grad U or
+    ``constant`` delta * vector (all ones by default), once check_invariance
+    admits it at ``invariance_points``: a rotational drift needs a potential
+    in 2 dimensions, and a constant one a potential flat along its vector.
+    A drift it rejects is a ConfigError."""
     if kind == "constant" and vector is None:
         vector = (1.0,) * potential.dimension
     drift = Drift(delta, vector)
-    if vector is None:
-        unit_parts(drift, potential)  # a potential not in 2 dimensions raises
-        return drift
-    points = _invariance_points(potential.dimension)
-    defect = check_invariance(drift, potential, points)
-    _check(defect <= 1e-6 * (1.0 + float(np.max(np.abs(drift.vector)))),
-           f"constant drift {list(vector)} does not preserve the Gibbs law of "
-           f"{potential.name!r}: U is not flat along it (|2 c0 . grad U| reaches "
-           f"{defect:.3g})")
+    try:
+        check_invariance(drift, potential, invariance_points(potential.dimension))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     return drift
 
 
@@ -272,8 +255,7 @@ class ExperimentConfig:
         return fields.reject_unread(cls(
             potential=name,
             potential_params=params,
-            drift_kind=drift.choice("kind", ("rotational", "constant", "none"),
-                                    "rotational"),
+            drift_kind=drift.choice("kind", ("rotational", "constant"), "rotational"),
             deltas=(drift("delta", float, 0.0),) if deltas is None else deltas,
             diffusion=fields("diffusion", float),
             dt=fields("dt", float),
@@ -336,22 +318,25 @@ class ExperimentConfig:
     def build_potential(self):
         return get_potential(self.potential, **self.potential_params)
 
-    @property
-    def rotation(self) -> str:
-        """How a rotational drift is integrated: ``"flow"``, the split step,
-        when the potential has a ``rotation_flow``, else ``"euler"``, inside
-        the Euler-Maruyama update.  It also picks the automatic substep rule."""
+    def rotation_at(self, delta: float) -> str:
+        """How the drift at ``delta`` rotates: ``"flow"``, the split step, when
+        the potential has a ``rotation_flow``, ``"euler"``, inside the
+        Euler-Maruyama update, when it has none, and ``"none"`` at delta = 0
+        or for a constant drift.  It also picks the automatic substep rule."""
+        if delta == 0.0 or self.drift_kind == "constant":
+            return "none"
         return "euler" if self.build_potential().rotation_flow is None else "flow"
 
     def substeps_at(self, delta: float) -> int:
         """Substeps per recorded step at ``delta``.  Automatic substeps follow
-        delta only for a rotational drift: the Euler step of a constant drift
-        or none sees only -grad U, as delta = 0 does, and takes 1."""
+        delta only where the drift rotates (``rotation_at``): the Euler step
+        of a constant drift sees only -grad U, as delta = 0 does, and takes 1."""
         if self.substeps != "auto":
             return self.substeps
-        if self.drift_kind != "rotational":
+        rotation = self.rotation_at(delta)
+        if rotation == "none":
             return 1
-        return stable_substeps(delta, self.dt, split=self.rotation == "flow")
+        return stable_substeps(delta, self.dt, split=rotation == "flow")
 
     @property
     def n_steps(self) -> int:
@@ -388,15 +373,15 @@ class ExperimentConfig:
 
     def drift(self, potential, delta: float):
         """The drift at strength ``delta``; delta = 0 is exactly reversible
-        dynamics (None) for every kind."""
+        dynamics (None) for every kind, the one reversible baseline."""
         return None if delta == 0.0 else build_drift(self.drift_kind, potential, delta)
 
     def substeps_by_delta(self) -> list[dict]:
         """The integrator of each delta group, as manifest.json records it:
         the substeps ``substeps_at`` resolves, the substep size h and the
-        ``rotation`` rule."""
-        rotation = self.rotation
-        return [{"delta": delta, "substeps": n, "h": self.dt / n, "rotation": rotation}
+        rule ``rotation_at`` names."""
+        return [{"delta": delta, "substeps": n, "h": self.dt / n,
+                 "rotation": self.rotation_at(delta)}
                 for delta, n in ((delta, self.substeps_at(delta)) for delta in self.deltas)]
 
     def to_dict(self) -> dict:

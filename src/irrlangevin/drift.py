@@ -12,13 +12,15 @@ C0 . grad U = 0:
   (the circle diagnostics, where d = 1 admits no rotational field).
 
 A drift holds no potential: U is always the one it is sampled or rated with.
-``unit_parts`` is the one place that decides which drifts belong to this
-family and checks a drift against its potential; the sampler,
-``check_invariance`` and the CLI all go through it.
+``unit_parts`` decides which drifts belong to this family and checks a drift
+against its potential, for the sampler and ``check_invariance``, which is the
+one admission rule: the CLI and ``ratefn`` reject through it a drift that
+breaks the Gibbs law, while the sampler integrates any drift of the family.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +76,18 @@ def unit_parts(drift, potential: PotentialField):
     return None, vector
 
 
+def invariance_points(dims: int) -> np.ndarray:
+    """Four fixed points of [-4, 4)^dims whose coordinates all differ within
+    each point (steps of an irrational fraction of the interval), so a field
+    that vanishes only where coordinates coincide is not missed."""
+    k = np.arange(4 * dims, dtype=float).reshape(4, dims)
+    return (k * (math.sqrt(5.0) - 1.0) / 2.0 + 0.25) % 1.0 * 8.0 - 4.0
+
+
 def check_invariance(drift, potential: PotentialField, points) -> float:
     """Max defect |div C0 - 2 C0 . grad U| of the unit-strength field C0 of
-    ``drift`` over ``points``, exactly.
+    ``drift`` over ``points``, exactly; a defect over 1e-6 (1 + max |c0|)
+    is a ParameterError.
 
     Both drift kinds are divergence free, so the defect is max |2 C0 . grad U|:
     0 for a rotational drift (J2 is antisymmetric) or no drift, and
@@ -84,4 +95,10 @@ def check_invariance(drift, potential: PotentialField, points) -> float:
     vector = unit_parts(drift, potential)[1]
     if vector is None:
         return 0.0
-    return float(np.max(np.abs(2.0 * (potential.grad(points) @ vector))))
+    defect = float(np.max(np.abs(2.0 * (potential.grad(points) @ vector))))
+    if defect > 1e-6 * (1.0 + float(np.max(np.abs(vector)))):
+        raise ParameterError(
+            f"constant drift {list(drift.vector)} does not preserve the Gibbs law of "
+            f"{potential.name!r}: U is not flat along it (|2 c0 . grad U| reaches "
+            f"{defect:.3g})")
+    return defect

@@ -37,7 +37,6 @@ div[p (C0 + grad xi)] = 0.  The gauge equation itself is D-free.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,20 +418,14 @@ def rate_irreversible(p: GridDensity, potential: PotentialField, drift,
     square-form increment (1/(4D)) int |grad psi_C - grad U|^2 dmu, and
     cross-computes the total rate through the independent three-term
     decomposition, reporting the mismatch.  C is a ``Drift`` running with
-    ``potential`` (else a ParameterError); warns when a constant C breaks the
-    invariance condition C0 . grad U = 0 at a node.
+    ``potential`` that preserves its Gibbs law: ``check_invariance`` at the
+    grid nodes makes any other C a ParameterError before any gauge solve.
     """
     _check_diffusion(diffusion)
     if drift is None:
         raise ParameterError("rate_irreversible needs a drift; I_0 is its i0 at delta 0")
-    defect = check_invariance(drift, potential, p.points())
+    check_invariance(drift, potential, p.points())
     c0 = field_on_grid(lambda x: drift.base_eval(potential, x), p)
-    if defect > 1e-6 * (1.0 + float(np.max(np.abs(c0)))):
-        warnings.warn(
-            f"drift field violates div C = 2 C . grad U (defect {defect:.3e}); "
-            "the rate decomposition assumes an invariant-measure-preserving C",
-            stacklevel=2,
-        )
     gu = field_on_grid(potential.grad, p)
     b = -gu + drift.delta * c0
     gauge, gpsi, term_gauge = _gauge_energy(p, b, diffusion, "main")

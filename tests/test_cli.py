@@ -24,6 +24,7 @@ from irrlangevin.cli import (
     run_experiment,
     table_config,
 )
+from irrlangevin.drift import invariance_points
 from irrlangevin.errors import ConfigError, SolverError
 from irrlangevin.estimators import batch_means
 from irrlangevin.potentials import MAX_DIMENSION, get_potential
@@ -263,8 +264,23 @@ def test_simulate_writes_trajectory(tmp_path):
     assert manifest["config"]["seeds"] == [3]
 
 
+def test_an_observable_of_u_sees_no_variance_reduction():
+    # the paper's equality case: on quadratic U, sumsq = 2 U is a function of U,
+    # so its Poisson solution is u0 = U and C0 . grad u0 = 0; sigma^2 is
+    # 2 D E|grad U|^2 = 4 D^2 at every delta.  Seeds and band are fixed, not tuned.
+    config = ExperimentConfig(potential="quadratic", deltas=(0.0, 10.0, 100.0),
+                              diffusion=0.1, dt=1e-2, horizon=200.0, burn_in=5.0,
+                              seeds=tuple(range(1, 21)))
+    rows, _ = run_experiment(config)
+    for delta in config.deltas:
+        sigma2 = np.array([row["sigma2_batch"] for row in rows if row["delta"] == delta])
+        assert sigma2.size == 20
+        se = sigma2.std(ddof=1) / math.sqrt(sigma2.size)
+        assert abs(sigma2.mean() - 4.0 * 0.1**2) <= 4.0 * se, (delta, sigma2.mean(), se)
+
+
 @pytest.mark.parametrize("potential, drift, params", [
-    ("quadratic", {"kind": "none", "deltas": [2.0]}, {"dim": 2}),
+    ("quadratic", {"kind": "rotational", "deltas": [2.0]}, {"dim": 2}),
     ("bimodal1", {"kind": "rotational", "deltas": [2.0]}, {}),
     ({"name": "torus-zero", "params": {"dim": 2}}, {"kind": "constant", "deltas": [2]},
      {"dim": 2}),
@@ -283,8 +299,10 @@ def test_simulate_manifest_echoes_the_run(tmp_path, potential, drift, params):
     assert manifest["config"]["potential"] == {"name": name, "params": params}
     assert manifest["config"]["drift"] == {"kind": drift["kind"],
                                            "deltas": [float(drift["deltas"][0])]}
+    # a constant drift does not rotate; the rotational ones here take the flow
+    rotation = "none" if drift["kind"] == "constant" else "flow"
     assert manifest["substeps"] == [{"delta": float(drift["deltas"][0]), "substeps": 1,
-                                     "h": 1e-3, "rotation": "flow"}]
+                                     "h": 1e-3, "rotation": rotation}]
     (timing,) = manifest["sampler_timing"]
     assert timing["deltas"] == [float(drift["deltas"][0])] and timing["cells"] == 1
     assert np.load(out / "trajectory.npy").shape == (11, 2)
@@ -314,14 +332,27 @@ def test_sweep_emits_per_seed_bands(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "delta,t,estimate,ci_lo,ci_hi"
+    assert lines[0] == "delta,seed,t,estimate,ci_lo,ci_hi"
     data = [line.split(",") for line in lines[1:]]
     assert len(data) == 6  # 2 seeds x 3 checkpoints
+    # the seed column keys each band: every (delta, seed, t) appears once
+    keys = [tuple(row[:3]) for row in data]
+    assert len(set(keys)) == len(keys)
+    assert [row[1] for row in data] == ["21"] * 3 + ["22"] * 3
+    # each band row is the results.csv row of the same config and key
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "est")]) == 0
+    header, *rest = (tmp_path / "est" / "results.csv").read_text().splitlines()
+    results = {}
+    for line in rest:
+        row = dict(zip(header.split(","), line.split(",")))
+        results[(row["delta"], row["seed"], row["t"])] = [
+            row[c] for c in ("estimate", "ci_lo", "ci_hi")]
+    assert {key: row[3:] for key, row in zip(keys, data)} == results
     # per-seed trajectories are distinct but their final CIs overlap
     first, second = data[:3], data[3:]
     assert first != second
-    lo1, hi1 = float(first[-1][3]), float(first[-1][4])
-    lo2, hi2 = float(second[-1][3]), float(second[-1][4])
+    lo1, hi1 = float(first[-1][4]), float(first[-1][5])
+    lo2, hi2 = float(second[-1][4]), float(second[-1][5])
     assert max(lo1, lo2) <= min(hi1, hi2)
 
 
@@ -730,8 +761,10 @@ def test_manifest_records_the_substeps_each_delta_ran(tmp_path, monkeypatch, arg
         argv = argv + ["--config", cfg]
     assert main(argv + ["--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    # delta = 0 does not rotate
     assert manifest["substeps"] == [{"delta": d, "substeps": n, "h": 1e-3 / n,
-                                     "rotation": "flow"} for d, n in expected]
+                                     "rotation": "flow" if d else "none"}
+                                    for d, n in expected]
     if argv[0] == "simulate":
         assert np.load(out / "trajectory.npy").shape == (51, 2)
     # one seed and one substep count: every delta group runs in one lockstep call
@@ -749,27 +782,25 @@ def test_manifest_records_the_euler_rule_of_a_potential_without_a_flow(tmp_path,
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["substeps"] == [
-        {"delta": 0.0, "substeps": 1, "h": 1e-3, "rotation": "euler"},
+        {"delta": 0.0, "substeps": 1, "h": 1e-3, "rotation": "none"},
         {"delta": 100.0, "substeps": 40, "h": 1e-3 / 40, "rotation": "euler"}]
     # groups of different substeps never share a call
     assert ran == [((0.0,), 1), ((100.0,), 40)]
 
 
-@pytest.mark.parametrize("potential, drift, dt", [
-    ("bimodal2", {"kind": "none", "deltas": [100.0]}, 1e-3),
-    ({"name": "torus-zero", "params": {"dim": 2}}, {"kind": "constant", "deltas": [100.0]},
-     1e-2),
-])
-def test_automatic_substeps_follow_delta_only_for_a_rotational_drift(
-        tmp_path, monkeypatch, potential, drift, dt):
-    # the Euler step of no drift or a constant one sees only -grad U
+def test_automatic_substeps_follow_delta_only_for_a_rotational_drift(tmp_path,
+                                                                     monkeypatch):
+    # the Euler step of a constant drift sees only -grad U
     ran = []
     monkeypatch.setattr(cli, "simulate_cells", fake_simulate_cells(ran))
-    cfg = write_config(tmp_path, ou_config(potential=potential, drift=drift, dt=dt,
-                                           horizon=1.0, burn_in=0.1, batches=2, seeds=[1]))
+    cfg = write_config(tmp_path, ou_config(
+        potential={"name": "torus-zero", "params": {"dim": 2}}, dt=1e-2,
+        drift={"kind": "constant", "deltas": [100.0]}, horizon=1.0, burn_in=0.1,
+        batches=2, seeds=[1]))
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert [entry["substeps"] for entry in manifest["substeps"]] == [1]
+    assert [(entry["substeps"], entry["rotation"])
+            for entry in manifest["substeps"]] == [(1, "none")]
     assert [substeps for _, substeps in ran] == [1]
 
 
@@ -850,6 +881,9 @@ BAD_INPUTS = {
     "unknown_potential_param": (
         "estimate", ou_config(potential={"name": "quadratic", "params": {"foo": 3}}), []),
     "drift_is_list": ("estimate", ou_config(drift=[0.0, 1.0]), []),
+    # delta = 0 is the one reversible baseline; there is no kind for it
+    "drift_kind_none": ("estimate", ou_config(drift={"kind": "none", "deltas": [10.0]}),
+                        []),
     "ratefn_grid_zero": ("ratefn", rate_config(grid=0), []),
     "density_file_missing": (
         "ratefn", rate_config(density={"kind": "file", "path": "{tmp}/none.txt"}), []),
@@ -938,6 +972,11 @@ NAMED_IN_MESSAGE = {
     "potential_param_bool": "potential.params.dim must be a finite number, got True",
     "ratefn_potential_param_string": "potential.params.a must be a finite number",
     "ratefn_potential_param_bool": "potential.params.dim must be a finite number",
+    "drift_kind_none": "drift.kind must be one of ['rotational', 'constant'], got 'none'",
+    "constant_drift_on_quadratic": "does not preserve the Gibbs law of 'quadratic'",
+    "constant_drift_on_bimodal1": "does not preserve the Gibbs law of 'bimodal1'",
+    "ratefn_constant_drift_on_torus_cosine":
+        "does not preserve the Gibbs law of 'torus-cosine'",
     "ratefn_bimodal1": "'bimodal1' is not periodic",
     "ratefn_quadratic": "'quadratic' is not periodic",
     "sampling_drift_vector": "unknown or unused key 'drift.vector'",
@@ -997,11 +1036,11 @@ def test_constant_drift_config_at_dim_8192_builds_within_a_second():
 def test_invariance_points_have_distinct_coordinates_in_every_dimension():
     # the points of dimension d are the first 4 d values of one sequence, so
     # distinct values at the largest dimension mean distinct ones at every d
-    sequence = cli._invariance_points(MAX_DIMENSION).ravel()
+    sequence = invariance_points(MAX_DIMENSION).ravel()
     assert np.unique(sequence).size == sequence.size
     assert -4.0 <= sequence.min() and sequence.max() < 4.0
     for dims in (1, 2, 3, 1000):
-        points = cli._invariance_points(dims)
+        points = invariance_points(dims)
         assert points.shape == (4, dims)
         np.testing.assert_array_equal(points.ravel(), sequence[:4 * dims])
 

@@ -99,12 +99,18 @@ def test_check_invariance_conforming_field():
 
 
 def test_check_invariance_detects_violation():
-    # a constant drift is divergence free, so the defect is exactly 2 max |c0 . x|
+    # a constant drift is divergence free, so the defect is exactly 2 max |c0 . x|;
+    # points this close to the minimum keep it under the tolerance 1e-6 (1 + 2)
     field = get_potential("quadratic")
-    pts = np.random.default_rng(7).uniform(-1, 1, size=(500, 2))
+    pts = np.random.default_rng(7).uniform(-1e-7, 1e-7, size=(500, 2))
     c0 = np.array([0.5, -2.0])
     residual = check_invariance(Drift(3.0, c0), field, pts)
+    assert 0.0 < residual <= 3e-6
     assert residual == pytest.approx(2.0 * np.max(np.abs(pts @ c0)), rel=1e-14)
+    # over the tolerance the drift breaks the Gibbs law and is rejected
+    with pytest.raises(ParameterError, match=r"constant drift \[0.5, -2.0\] does not "
+                                             r"preserve the Gibbs law of 'quadratic'"):
+        check_invariance(Drift(3.0, c0), field, 1e7 * pts)
 
 
 def test_check_invariance_rejects_a_field_outside_the_family():

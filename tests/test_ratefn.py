@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from irrlangevin import ratefn
 from irrlangevin.drift import Drift
 from irrlangevin.errors import DimensionError, ParameterError
 from irrlangevin.potentials import get_potential
@@ -464,10 +465,17 @@ def test_grid_convergence_on_rough_density():
     assert errors[1] / errors[2] >= 3.0
 
 
-def test_nonconforming_drift_warns():
-    # U = 0.5 cos x + 0.5 cos y is not flat along x, so c0 = [1, 0] breaks invariance
+def test_nonconforming_drift_is_a_parameter_error(monkeypatch):
+    # U = 0.5 cos x + 0.5 cos y is not flat along x, so c0 = [1, 0] breaks
+    # invariance: an error before any gauge solve, not a rate outside the split
     p = random_smooth_density(32, dims=2, seed=1)
-    with pytest.warns(UserWarning):
+
+    def no_solve(*args):
+        raise AssertionError("the gauge equation was solved")
+
+    monkeypatch.setattr(ratefn, "solve_gauge_field", no_solve)
+    with pytest.raises(ParameterError, match="does not preserve the Gibbs law of "
+                                             "'torus-cosine'"):
         rate_irreversible(p, TORUS, Drift(1.0, [1.0, 0.0]), 0.5)
 
 
